@@ -235,7 +235,7 @@ JsonRow MeasureWorkload(const std::string& name, const Fsa& fsa,
   for (const std::vector<std::string>& t : batch) tuples.push_back(&t);
 
   // Parity first: the kernel and the oracle must agree on every tuple.
-  KernelBatchResult warm = AcceptBatch(kernel, tuples, &scratch);
+  AcceptBatchResult warm = AcceptBatch(kernel, tuples, &scratch);
   for (size_t i = 0; i < batch.size(); ++i) {
     if (!warm.statuses[i].ok()) {
       std::fprintf(stderr, "%s: tuple %zu failed: %s\n", name.c_str(), i,
@@ -289,7 +289,7 @@ JsonRow MeasureWorkload(const std::string& name, const Fsa& fsa,
   Result<DfaProgram> dfa = DfaProgram::Compile(fsa);
   if (dfa.ok()) {
     DfaScratch dscratch;
-    DfaBatchResult check = AcceptBatch(*dfa, tuples, &dscratch);
+    AcceptBatchResult check = AcceptBatch(*dfa, tuples, &dscratch);
     for (size_t i = 0; i < batch.size(); ++i) {
       Result<AcceptStats> scalar = dfa->Accept(batch[i], &dscratch);
       if (!check.statuses[i].ok() || !scalar.ok() ||

@@ -15,13 +15,15 @@
 // generator again by reusing specialised automata and generations
 // across the odometer and across runs.
 //
-// E24 (query side) — σ_A filtering of a materialised relation through
-// the engine's three acceptance tiers (reference BFS, CSR kernel, DFA
-// bytecode; EngineOptions::enable_kernel / enable_dfa), on a
-// concatenation workload the DFA tier refuses (fallback-overhead
-// check) and an equality workload it serves.  `--json[=PATH]` (default
-// BENCH_query_eval.json) writes the machine-readable comparison;
-// `--quick` shrinks it for CI smoke runs.
+// E24 (query side) — σ_A filtering of a materialised relation: the
+// default engine, whose Acceptor picks the DFA tier or the CSR kernel per
+// automaton, against the naive evaluator (EvalAlgebra), which decides
+// every tuple with the Theorem 3.3 BFS.  A concatenation workload runs
+// on the kernel (the DFA tier refuses it) and an equality workload on
+// the DFA tier.  The tiers themselves are timed directly by
+// bench_acceptance.  `--json[=PATH]` (default BENCH_query_eval.json)
+// writes the machine-readable comparison; `--quick` shrinks it for CI
+// smoke runs.
 //
 // `--paged` switches the JSON mode to the out-of-core variant (default
 // BENCH_storage_scan.json): the same filter workload with the relation
@@ -211,11 +213,11 @@ void BM_ConcatQueryNaiveCalculus(benchmark::State& state) {
 }
 BENCHMARK(BM_ConcatQueryNaiveCalculus)->DenseRange(2, 6, 2)->Complexity();
 
-// --- E24 (query side): σ_A over a materialised relation, kernel on/off ---
+// --- E24 (query side): σ_A over a materialised relation, engine vs naive ---
 
 // An arity-3 relation of (x, y, z) triples, half of which satisfy
 // x = y·z — a pure filter-select workload (no Σ* generation), so the
-// acceptance check dominates and the kernel's effect is isolated.
+// acceptance check dominates.
 Database MakeTriples(int tuples, int max_len, uint64_t seed) {
   Database db(Alphabet::Binary());
   Rng rng(seed);
@@ -241,8 +243,7 @@ AlgebraExpr FilterQuery(const Alphabet& alphabet) {
 
 // An arity-2 relation of (x, y) pairs, half equal — the DFA tier's
 // end-to-end showcase: the pair-equality scanner is one-way and
-// move-deterministic, so σ runs on the bytecode batch path instead of
-// the CSR kernel.
+// move-deterministic, so the engine's σ runs on the bytecode batch path.
 Database MakePairs(int tuples, int max_len, uint64_t seed) {
   Database db(Alphabet::Binary());
   Rng rng(seed);
@@ -265,19 +266,21 @@ AlgebraExpr EqualityFilterQuery(const Alphabet& alphabet) {
       "select");
 }
 
-void BM_FilterSelect(benchmark::State& state, bool enable_kernel) {
+void BM_FilterSelect(benchmark::State& state, bool use_engine) {
   const int tuples = static_cast<int>(state.range(0));
   Database db = MakeTriples(tuples, 24, 7);
   AlgebraExpr query = FilterQuery(db.alphabet());
   EvalOptions opts;
   opts.truncation = 64;
-  EngineOptions eopts;
-  eopts.enable_kernel = enable_kernel;
-  Engine engine(eopts);
-  if (!engine.Execute(query, db, opts).ok()) std::abort();
+  Engine engine;
+  auto run = [&] {
+    return use_engine ? engine.Execute(query, db, opts)
+                      : EvalAlgebra(query, db, opts);
+  };
+  if (!run().ok()) std::abort();
   int64_t answers = 0;
   for (auto _ : state) {
-    Result<StringRelation> r = engine.Execute(query, db, opts);
+    Result<StringRelation> r = run();
     if (!r.ok()) {
       state.SkipWithError(r.status().ToString().c_str());
       break;
@@ -287,13 +290,13 @@ void BM_FilterSelect(benchmark::State& state, bool enable_kernel) {
   state.counters["answers"] = static_cast<double>(answers);
   state.SetComplexityN(tuples);
 }
-void BM_FilterSelectKernel(benchmark::State& state) {
+void BM_FilterSelectEngine(benchmark::State& state) {
   BM_FilterSelect(state, true);
 }
 void BM_FilterSelectReference(benchmark::State& state) {
   BM_FilterSelect(state, false);
 }
-BENCHMARK(BM_FilterSelectKernel)
+BENCHMARK(BM_FilterSelectEngine)
     ->RangeMultiplier(4)
     ->Range(16, 1024)
     ->Complexity();
@@ -316,63 +319,39 @@ struct QueryEvalRow {
   int tuples = 0;
   int reps = 0;
   size_t answers = 0;
-  double reference_ns_per_tuple = 0;
-  double kernel_ns_per_tuple = 0;
-  double dfa_ns_per_tuple = 0;
-  double speedup = 0;      // reference / kernel
-  double dfa_speedup = 0;  // reference / dfa-enabled engine
+  double engine_ns_per_tuple = 0;     // default Engine (Acceptor tiers)
+  double reference_ns_per_tuple = 0;  // EvalAlgebra (Theorem 3.3 BFS)
+  double speedup = 0;                 // reference / engine
 };
 
-// Times one σ workload through three engine configurations: reference
-// BFS only, CSR kernel, and the full fallback ladder with the DFA tier
-// on top.  On machines outside the DFA's class (the concat tester) the
-// third configuration silently serves from the kernel, so its number
-// doubles as a fallback-overhead check.
+// Times one σ workload through the default engine and the naive
+// evaluator, after checking that both return the same relation.
 Result<QueryEvalRow> MeasureQueryEval(const std::string& name,
                                       const Database& db,
                                       const AlgebraExpr& query,
                                       const EvalOptions& opts, int tuples,
                                       bool quick) {
-  EngineOptions reference_opts;
-  reference_opts.enable_kernel = false;
-  reference_opts.enable_dfa = false;
-  EngineOptions kernel_opts;
-  kernel_opts.enable_kernel = true;
-  kernel_opts.enable_dfa = false;
-  EngineOptions dfa_opts;  // defaults: kernel + DFA, the served config
-  Engine reference_engine(reference_opts);
-  Engine kernel_engine(kernel_opts);
-  Engine dfa_engine(dfa_opts);
-
-  // Warm all three engines and check they agree on the answer.
-  Result<StringRelation> a = dfa_engine.Execute(query, db, opts);
-  Result<StringRelation> b = kernel_engine.Execute(query, db, opts);
-  Result<StringRelation> c = reference_engine.Execute(query, db, opts);
-  if (!a.ok() || !b.ok() || !c.ok() || a->size() != b->size() ||
-      b->size() != c->size()) {
-    return Status::Internal(name + ": tier answers disagree");
+  Engine engine;
+  Result<StringRelation> a = engine.Execute(query, db, opts);
+  Result<StringRelation> b = EvalAlgebra(query, db, opts);
+  if (!a.ok() || !b.ok() || !(*a == *b)) {
+    return Status::Internal(name + ": engine and naive answers disagree");
   }
 
-  int64_t one_pass = TimeNs([&] {
-    benchmark::DoNotOptimize(reference_engine.Execute(query, db, opts));
-  });
+  int64_t one_pass = TimeNs(
+      [&] { benchmark::DoNotOptimize(EvalAlgebra(query, db, opts)); });
   int64_t target_ns = quick ? 20'000'000 : 400'000'000;
   int reps = static_cast<int>(target_ns / std::max<int64_t>(one_pass, 1));
   reps = std::max(1, std::min(reps, 200));
 
   int64_t reference_ns = TimeNs([&] {
     for (int r = 0; r < reps; ++r) {
-      benchmark::DoNotOptimize(reference_engine.Execute(query, db, opts));
+      benchmark::DoNotOptimize(EvalAlgebra(query, db, opts));
     }
   });
-  int64_t kernel_ns = TimeNs([&] {
+  int64_t engine_ns = TimeNs([&] {
     for (int r = 0; r < reps; ++r) {
-      benchmark::DoNotOptimize(kernel_engine.Execute(query, db, opts));
-    }
-  });
-  int64_t dfa_ns = TimeNs([&] {
-    for (int r = 0; r < reps; ++r) {
-      benchmark::DoNotOptimize(dfa_engine.Execute(query, db, opts));
+      benchmark::DoNotOptimize(engine.Execute(query, db, opts));
     }
   });
 
@@ -382,30 +361,24 @@ Result<QueryEvalRow> MeasureQueryEval(const std::string& name,
   row.reps = reps;
   row.answers = a->size();
   double per = static_cast<double>(reps) * static_cast<double>(tuples);
+  row.engine_ns_per_tuple = static_cast<double>(engine_ns) / per;
   row.reference_ns_per_tuple = static_cast<double>(reference_ns) / per;
-  row.kernel_ns_per_tuple = static_cast<double>(kernel_ns) / per;
-  row.dfa_ns_per_tuple = static_cast<double>(dfa_ns) / per;
-  row.speedup = row.reference_ns_per_tuple / row.kernel_ns_per_tuple;
-  row.dfa_speedup = row.reference_ns_per_tuple / row.dfa_ns_per_tuple;
+  row.speedup = row.reference_ns_per_tuple / row.engine_ns_per_tuple;
   return row;
 }
 
-// --- E26: cost-based DP planner vs the heuristic product order ---
+// --- E26: cost-based DP planner vs the written product order ---
 //
-// A skewed 3-way product chain built to fool the heuristic's fixed 1/4
-// selectivity assumption:
-//   * σ_member(a)(Big)      — keeps every row (all rows contain 'a'),
-//                             but the heuristic estimates |Big|/4;
-//   * Mid                   — a plain relation, estimated exactly;
+// A skewed 3-way product chain written in its worst left-deep order:
+//   * σ_member(a)(Big)      — keeps every row (all rows contain 'a');
+//   * Mid                   — a plain relation;
 //   * σ_member(pat)(Huge)   — keeps nothing (every Huge row is shorter
-//                             than the twelve-character needle), but the
-//                             heuristic estimates |Huge|/4 — the largest
-//                             estimate of the three.
-// Ascending by those estimates, the heuristic materialises Big×Mid
-// first and applies the empty filter last — the worst left-deep order,
-// and the one the query is written in.  The DP planner's DFA
-// acceptance-density estimate ranks the needle filter first, so the
-// downstream products never materialise a single tuple.
+//                             than the twelve-character needle).
+// As written, Big×Mid is materialised first and the empty filter runs
+// last.  The DP planner's DFA acceptance-density estimate ranks the
+// needle filter first, so the downstream products never materialise a
+// single tuple.  (A flat 1/4 selectivity guess would rank σ(Huge) as the
+// largest factor and pick the written order.)
 Database MakePlannerDb(int big, int mid, int huge_rows, uint64_t seed,
                        const std::string& pattern) {
   Database db(Alphabet::Binary());
@@ -452,10 +425,9 @@ struct PlannerChainRow {
   int tuples = 0;
   int reps = 0;
   size_t answers = 0;
-  double worst_ns_per_tuple = 0;      // reordering off, worst written order
-  double heuristic_ns_per_tuple = 0;  // heuristic reorder (picks the same)
-  double dp_ns_per_tuple = 0;         // cost-based DP planner
-  double dp_speedup = 0;              // worst / dp
+  double worst_ns_per_tuple = 0;  // reordering off, worst written order
+  double dp_ns_per_tuple = 0;     // cost-based DP planner
+  double dp_speedup = 0;          // worst / dp
 };
 
 Result<PlannerChainRow> MeasurePlannerChain(bool quick) {
@@ -472,22 +444,17 @@ Result<PlannerChainRow> MeasurePlannerChain(bool quick) {
   opts.truncation = 16;
 
   EngineOptions worst_opts;
-  worst_opts.enable_cost_planner = false;
   worst_opts.rewrites.reorder_products = false;  // pinned to written order
-  EngineOptions heuristic_opts;
-  heuristic_opts.enable_cost_planner = false;
   Engine worst_engine(worst_opts);
-  Engine heuristic_engine(heuristic_opts);
-  Engine dp_engine;  // defaults: cost planner on
+  Engine dp_engine;
 
   Result<StringRelation> a = dp_engine.Execute(query, db, opts);
-  Result<StringRelation> b = heuristic_engine.Execute(query, db, opts);
   Result<StringRelation> c = worst_engine.Execute(query, db, opts);
-  if (!a.ok() || !b.ok() || !c.ok() || !(*a == *b) || !(*b == *c)) {
+  if (!a.ok() || !c.ok() || !(*a == *c)) {
     return Status::Internal("planner_chain: plan routes disagree");
   }
 
-  // Per-engine rep calibration: the three plans are orders of magnitude
+  // Per-engine rep calibration: the two plans are orders of magnitude
   // apart, so a shared rep count would measure the fast plan over a few
   // cold passes.  Each engine gets warmup passes and enough reps to
   // amortise them.
@@ -517,16 +484,17 @@ Result<PlannerChainRow> MeasurePlannerChain(bool quick) {
   row.tuples = tuples;
   row.answers = a->size();
   row.worst_ns_per_tuple = measure(worst_engine);
-  row.heuristic_ns_per_tuple = measure(heuristic_engine);
   row.dp_ns_per_tuple = measure(dp_engine);
-  row.reps = min_reps;  // the smallest of the three calibrated counts
+  row.reps = min_reps;  // the smaller of the two calibrated counts
   row.dp_speedup = row.worst_ns_per_tuple / row.dp_ns_per_tuple;
   return row;
 }
 
 int RunJsonMode(const std::string& path, bool quick) {
-  const int tuples = quick ? 128 : 1024;
-  const int max_len = quick ? 12 : 24;
+  // Quick mode only trims the rep budget: the regression gate compares
+  // its ns/tuple against the full-mode baseline, so the workloads match.
+  const int tuples = 1024;
+  const int max_len = 24;
 
   Database triples = MakeTriples(tuples, max_len, 7);
   AlgebraExpr concat_query = FilterQuery(triples.alphabet());
@@ -567,22 +535,17 @@ int RunJsonMode(const std::string& path, bool quick) {
     const QueryEvalRow& r = rows[i];
     out << "    {\"name\": \"" << r.name << "\", \"tuples\": " << r.tuples
         << ", \"reps\": " << r.reps << ", \"answers\": " << r.answers
+        << ", \"engine_ns_per_tuple\": "
+        << static_cast<int64_t>(r.engine_ns_per_tuple)
         << ", \"reference_ns_per_tuple\": "
         << static_cast<int64_t>(r.reference_ns_per_tuple)
-        << ", \"kernel_ns_per_tuple\": "
-        << static_cast<int64_t>(r.kernel_ns_per_tuple)
-        << ", \"dfa_ns_per_tuple\": "
-        << static_cast<int64_t>(r.dfa_ns_per_tuple) << ", \"speedup\": "
+        << ", \"speedup\": "
         << static_cast<double>(static_cast<int64_t>(r.speedup * 100)) / 100
-        << ", \"dfa_speedup\": "
-        << static_cast<double>(static_cast<int64_t>(r.dfa_speedup * 100)) /
-               100
         << "},\n";
-    std::printf("%-20s reference %8.0f ns/tuple  kernel %8.0f ns/tuple  "
-                "dfa %8.0f ns/tuple  speedup %.2fx  dfa %.2fx\n",
-                r.name.c_str(), r.reference_ns_per_tuple,
-                r.kernel_ns_per_tuple, r.dfa_ns_per_tuple, r.speedup,
-                r.dfa_speedup);
+    std::printf("%-20s engine %8.0f ns/tuple  reference %8.0f ns/tuple  "
+                "speedup %.2fx\n",
+                r.name.c_str(), r.engine_ns_per_tuple,
+                r.reference_ns_per_tuple, r.speedup);
   }
   {
     const PlannerChainRow& p = *planner;
@@ -590,16 +553,14 @@ int RunJsonMode(const std::string& path, bool quick) {
         << ", \"reps\": " << p.reps << ", \"answers\": " << p.answers
         << ", \"worst_ns_per_tuple\": "
         << static_cast<int64_t>(p.worst_ns_per_tuple)
-        << ", \"heuristic_ns_per_tuple\": "
-        << static_cast<int64_t>(p.heuristic_ns_per_tuple)
         << ", \"dp_ns_per_tuple\": "
         << static_cast<int64_t>(p.dp_ns_per_tuple) << ", \"dp_speedup\": "
         << static_cast<double>(static_cast<int64_t>(p.dp_speedup * 100)) / 100
         << "}\n";
-    std::printf("%-20s worst %8.0f ns/tuple  heuristic %8.0f ns/tuple  "
-                "dp %8.0f ns/tuple  dp speedup %.2fx\n",
-                p.name.c_str(), p.worst_ns_per_tuple, p.heuristic_ns_per_tuple,
-                p.dp_ns_per_tuple, p.dp_speedup);
+    std::printf("%-20s worst %8.0f ns/tuple  dp %8.0f ns/tuple  "
+                "dp speedup %.2fx\n",
+                p.name.c_str(), p.worst_ns_per_tuple, p.dp_ns_per_tuple,
+                p.dp_speedup);
   }
   out << "  ]\n}\n";
   std::printf("wrote %s\n", path.c_str());
@@ -659,7 +620,7 @@ int RunPagedJsonMode(const std::string& path, bool quick) {
   EvalOptions paged_opts = opts;
   paged_opts.paged = paged.get();
 
-  Engine paged_engine;  // enable_paged default: streams via PagedScan
+  Engine paged_engine;  // streams T through its PagedScan
   Engine mem_engine;
 
   // Warm both engines and check the paged route agrees with memory.

@@ -1,5 +1,6 @@
-// libFuzzer: cost-based planner vs heuristic vs the naive evaluator —
-// four plan shapes over one random catalog must agree tuple-for-tuple
+// libFuzzer: cost-based planner vs the written product order vs the
+// naive evaluator — four routes over one random catalog must agree
+// tuple-for-tuple
 // (stale statistics included), plus statistics persistence through a
 // CatalogStore close/reopen (crash mode), fully in memory (MemEnv).
 #include "fuzz_common.h"

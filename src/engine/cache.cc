@@ -57,19 +57,6 @@ int64_t ArtifactCache::FsaCost(const Fsa& fsa) {
          static_cast<int64_t>(fsa.num_transitions()) * per_transition;
 }
 
-int64_t ArtifactCache::KernelCost(const AcceptKernel& kernel) {
-  return kernel.MemoryCost();
-}
-
-int64_t ArtifactCache::DfaCost(const DfaCompilation& compilation) {
-  int64_t bytes = static_cast<int64_t>(sizeof(DfaCompilation)) +
-                  static_cast<int64_t>(compilation.failure.message().size());
-  if (compilation.program != nullptr) {
-    bytes += compilation.program->MemoryCost();
-  }
-  return bytes;
-}
-
 int64_t ArtifactCache::GeneratedCost(const GeneratedSet& set) {
   // Red-black tree node (3 pointers + colour, rounded) + vector header
   // per tuple, string header + content per component.
@@ -114,20 +101,8 @@ Result<std::shared_ptr<const Fsa>> ArtifactCache::GetSpecialized(
   STRDB_ASSIGN_OR_RETURN(Fsa specialized, Specialize(base, fixed));
   auto shared = std::make_shared<const Fsa>(std::move(specialized));
   int64_t cost = static_cast<int64_t>(key.size()) + FsaCost(*shared);
-  // Charge before inserting (an exhausted budget must not grow the
-  // cache), refund if the insert is rejected — oversize artifact or a
-  // concurrent incumbent — so the account only ever holds bytes that
-  // are actually resident.
-  if (budget != nullptr) {
-    STRDB_RETURN_IF_ERROR(budget->ChargeCachedBytes(cost));
-  }
-  bool inserted;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    inserted =
-        InsertLocked(Entry{key, shared, nullptr, nullptr, nullptr, cost});
-  }
-  if (!inserted && budget != nullptr) budget->Release(0, 0, cost);
+  STRDB_RETURN_IF_ERROR(
+      InsertCharged(Entry{key, shared, nullptr, nullptr, cost}, budget));
   *derived_key = std::move(key);
   return shared;
 }
@@ -150,77 +125,35 @@ ArtifactCache::PutGenerated(const std::string& key, GeneratedSet set,
                             ResourceBudget* budget) {
   auto shared = std::make_shared<const GeneratedSet>(std::move(set));
   int64_t cost = static_cast<int64_t>(key.size()) + GeneratedCost(*shared);
-  if (budget != nullptr) {
-    STRDB_RETURN_IF_ERROR(budget->ChargeCachedBytes(cost));
-  }
-  bool inserted;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    inserted =
-        InsertLocked(Entry{key, nullptr, shared, nullptr, nullptr, cost});
-  }
-  if (!inserted && budget != nullptr) budget->Release(0, 0, cost);
+  STRDB_RETURN_IF_ERROR(
+      InsertCharged(Entry{key, nullptr, shared, nullptr, cost}, budget));
   return shared;
 }
 
-std::shared_ptr<const AcceptKernel> ArtifactCache::GetKernel(
-    const std::string& key) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = index_.find(key);
-  if (it == index_.end()) {
-    RecordMissLocked();
-    return nullptr;
-  }
-  RecordHitLocked();
-  TouchLocked(it->second);
-  return it->second->kernel;
-}
-
-Result<std::shared_ptr<const AcceptKernel>> ArtifactCache::PutKernel(
-    const std::string& key, AcceptKernel kernel, ResourceBudget* budget) {
-  auto shared = std::make_shared<const AcceptKernel>(std::move(kernel));
-  int64_t cost = static_cast<int64_t>(key.size()) + KernelCost(*shared);
-  if (budget != nullptr) {
-    STRDB_RETURN_IF_ERROR(budget->ChargeCachedBytes(cost));
-  }
-  bool inserted;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    inserted =
-        InsertLocked(Entry{key, nullptr, nullptr, shared, nullptr, cost});
-  }
-  if (!inserted && budget != nullptr) budget->Release(0, 0, cost);
-  return shared;
-}
-
-std::shared_ptr<const DfaCompilation> ArtifactCache::GetDfa(
-    const std::string& key) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = index_.find(key);
-  if (it == index_.end()) {
-    RecordMissLocked();
-    return nullptr;
-  }
-  RecordHitLocked();
-  TouchLocked(it->second);
-  return it->second->dfa;
-}
-
-Result<std::shared_ptr<const DfaCompilation>> ArtifactCache::PutDfa(
-    const std::string& key, DfaCompilation compilation,
+Result<std::shared_ptr<const Acceptor>> ArtifactCache::GetAcceptor(
+    const std::string& fsa_key, std::shared_ptr<const Fsa> fsa, bool* hit,
     ResourceBudget* budget) {
-  auto shared = std::make_shared<const DfaCompilation>(std::move(compilation));
-  int64_t cost = static_cast<int64_t>(key.size()) + DfaCost(*shared);
-  if (budget != nullptr) {
-    STRDB_RETURN_IF_ERROR(budget->ChargeCachedBytes(cost));
-  }
-  bool inserted;
+  std::string key = fsa_key + "\n|acceptor";
   {
     std::lock_guard<std::mutex> lock(mu_);
-    inserted =
-        InsertLocked(Entry{key, nullptr, nullptr, nullptr, shared, cost});
+    auto it = index_.find(key);
+    if (it != index_.end()) {
+      RecordHitLocked();
+      TouchLocked(it->second);
+      *hit = true;
+      return it->second->acceptor;
+    }
+    RecordMissLocked();
+    *hit = false;
   }
-  if (!inserted && budget != nullptr) budget->Release(0, 0, cost);
+  // Compile outside the lock; concurrent misses on the same key compile
+  // twice and agree (the tier choice is deterministic).
+  auto shared = std::make_shared<const Acceptor>(Acceptor::Compile(fsa));
+  int64_t cost = static_cast<int64_t>(key.size()) + shared->MemoryCost();
+  // A BFS-tier acceptor keeps its automaton alive.
+  if (shared->tier() == Acceptor::Tier::kBfs) cost += FsaCost(*fsa);
+  STRDB_RETURN_IF_ERROR(InsertCharged(
+      Entry{std::move(key), nullptr, nullptr, shared, cost}, budget));
   return shared;
 }
 
@@ -228,7 +161,7 @@ void ArtifactCache::InstallFsa(const std::string& key,
                                std::shared_ptr<const Fsa> fsa) {
   int64_t cost = static_cast<int64_t>(key.size()) + FsaCost(*fsa);
   std::lock_guard<std::mutex> lock(mu_);
-  InsertLocked(Entry{key, std::move(fsa), nullptr, nullptr, nullptr, cost});
+  InsertLocked(Entry{key, std::move(fsa), nullptr, nullptr, cost});
 }
 
 void ArtifactCache::ForEachFsa(
@@ -267,6 +200,20 @@ void ArtifactCache::RecordHitLocked() {
 void ArtifactCache::RecordMissLocked() {
   ++stats_.misses;
   Metrics().misses->Increment();
+}
+
+Status ArtifactCache::InsertCharged(Entry entry, ResourceBudget* budget) {
+  const int64_t cost = entry.cost;
+  if (budget != nullptr) {
+    STRDB_RETURN_IF_ERROR(budget->ChargeCachedBytes(cost));
+  }
+  bool inserted;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    inserted = InsertLocked(std::move(entry));
+  }
+  if (!inserted && budget != nullptr) budget->Release(0, 0, cost);
+  return Status::OK();
 }
 
 bool ArtifactCache::InsertLocked(Entry entry) {

@@ -13,9 +13,8 @@
 
 #include "core/budget.h"
 #include "core/result.h"
-#include "fsa/codegen/program.h"
+#include "fsa/acceptor.h"
 #include "fsa/fsa.h"
-#include "fsa/kernel.h"
 
 namespace strdb {
 
@@ -26,20 +25,20 @@ namespace strdb {
 // σ_A(F × (Σ*)^n) revisiting a factor value, two queries sharing a
 // compiled formula) skip respecialisation and regeneration entirely.
 //
-// Four artifact kinds are cached:
+// Three artifact kinds are cached:
 //   * specialised automata   — Specialize(A, tape := constant);
 //   * bounded generations    — EnumerateLanguage(A', max_len) results;
-//   * acceptance kernels     — AcceptKernel::Compile(A) for σ_A filters;
-//   * DFA programs           — DfaProgram::Compile(A) outcomes, *including
-//     typed refusals*: an automaton outside the DFA tier's applicability
-//     class is classified once, and every later query on it goes
-//     straight to the kernel without re-running the subset construction.
+//   * acceptors              — Acceptor::Compile(A) for σ_A filters, with
+//     the tier choice *and its refusals* inside: an automaton outside the
+//     DFA tier's applicability class is classified once, and every later
+//     query on it goes straight to its kernel (or BFS) tier without
+//     re-running the subset construction.
 // All are pure functions of their key, so the cache never changes a
 // result; only budget *errors* can differ when a previously computed
 // artifact is reused under a smaller step budget.
 //
 // Memory is bounded: each entry carries an estimated byte cost (key +
-// payload), and the cache is a single LRU across both artifact kinds
+// payload), and the cache is a single LRU across all artifact kinds
 // evicted strictly to stay under `max_bytes` — bytes_in_use() never
 // exceeds the bound.  An artifact whose cost alone exceeds the bound is
 // returned to the caller but not retained (counted as an eviction).
@@ -75,8 +74,6 @@ class ArtifactCache {
   // and exposed for tests.
   static int64_t FsaCost(const Fsa& fsa);
   static int64_t GeneratedCost(const GeneratedSet& set);
-  static int64_t KernelCost(const AcceptKernel& kernel);
-  static int64_t DfaCost(const DfaCompilation& compilation);
 
   // Returns Specialize(base, base tape `tape` := value), where `base` is
   // the machine identified by `base_key`; `*derived_key` receives the
@@ -97,23 +94,11 @@ class ArtifactCache {
       const std::string& key, GeneratedSet set,
       ResourceBudget* budget = nullptr);
 
-  // Returns the cached compiled acceptance kernel for `key`, or nullptr.
-  std::shared_ptr<const AcceptKernel> GetKernel(const std::string& key);
-  // Caches `kernel` under `key`, charging its cost to `budget` (when
-  // given).  Returns the shared artifact so callers keep it alive even
-  // if it is immediately evicted.
-  Result<std::shared_ptr<const AcceptKernel>> PutKernel(
-      const std::string& key, AcceptKernel kernel,
-      ResourceBudget* budget = nullptr);
-
-  // Returns the cached DFA compile outcome for `key`, or nullptr when
-  // the machine has not been classified yet.  A non-null result with a
-  // null `program` is a cached refusal.
-  std::shared_ptr<const DfaCompilation> GetDfa(const std::string& key);
-  // Caches a compile outcome (program or typed refusal) under `key`,
-  // charging its cost to `budget` (when given).
-  Result<std::shared_ptr<const DfaCompilation>> PutDfa(
-      const std::string& key, DfaCompilation compilation,
+  // Returns Acceptor::Compile(fsa), where `fsa_key` is FsaKey(*fsa).  On
+  // a miss, the freshly compiled artifact's cost is charged to `budget`
+  // (when given) before caching.
+  Result<std::shared_ptr<const Acceptor>> GetAcceptor(
+      const std::string& fsa_key, std::shared_ptr<const Fsa> fsa, bool* hit,
       ResourceBudget* budget = nullptr);
 
   // Installs a prebuilt automaton artifact under `key`, as if a miss had
@@ -133,23 +118,25 @@ class ArtifactCache {
   void Clear();
 
  private:
-  // One artifact, either kind; exactly one payload pointer is set.
+  // One artifact of any kind; exactly one payload pointer is set.
   struct Entry {
     std::string key;
     std::shared_ptr<const Fsa> fsa;
     std::shared_ptr<const GeneratedSet> generated;
-    std::shared_ptr<const AcceptKernel> kernel;
-    std::shared_ptr<const DfaCompilation> dfa;
+    std::shared_ptr<const Acceptor> acceptor;
     int64_t cost = 0;
   };
+
+  // Charges the entry's cost to `budget` (when given), then inserts it.
+  // The charge comes first so an exhausted budget never grows the cache,
+  // and is refunded when InsertLocked rejects the entry, so the account
+  // only ever holds bytes that are actually resident.
+  Status InsertCharged(Entry entry, ResourceBudget* budget);
 
   // Inserts an already-built entry, evicting from the LRU tail first so
   // the byte bound is never exceeded even transiently.  Returns false
   // when the entry was NOT retained — oversize, or a concurrent miss on
-  // the same key already inserted an incumbent — so the caller can
-  // refund any budget bytes charged for it: a budget's cached-bytes
-  // account must only ever reflect bytes actually resident.  Caller
-  // holds mu_.
+  // the same key already inserted an incumbent.  Caller holds mu_.
   bool InsertLocked(Entry entry);
   void EvictUntilFitsLocked(int64_t incoming);
   void TouchLocked(std::list<Entry>::iterator it);

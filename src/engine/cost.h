@@ -12,25 +12,19 @@
 
 namespace strdb {
 
-// Per-tuple cost constants (nanoseconds), calibrated from the
-// checked-in BENCH_accept.json / BENCH_query_eval.json rows: the three
-// acceptance tiers' end-to-end σ ns/tuple, plus materialisation and
-// scan costs measured alongside them.  Absolute accuracy is not the
-// point — plan choices only depend on the ratios, and those are pinned
-// by the bench-regression gate.
+// Per-tuple cost constants (nanoseconds) of DpOrderFactors: a scanned
+// factor tuple and a materialised product row.  Absolute accuracy is
+// not the point — plan choices only depend on the ratio.
 struct CostModel {
-  double bfs_ns_per_tuple = 8442;     // reference Theorem 3.3 BFS
-  double kernel_ns_per_tuple = 3975;  // CSR acceptance kernel
-  double dfa_ns_per_tuple = 679;      // DFA bytecode tier
-  double tuple_build_ns = 400;        // product materialisation, per row
-  double scan_ns = 120;               // per scanned tuple
-  double generate_ns = 4000;          // per generated σ_A candidate
+  double tuple_build_ns = 400;  // product materialisation, per row
+  double scan_ns = 120;         // per scanned tuple
 };
 
 // Everything the cost-based planner needs, bundled so the rewrite
 // pipeline can carry it as one optional pointer.  All pointers are
-// unowned and may be null (each consumer degrades to the heuristic it
-// replaces); the context must outlive the RewriteExpr call.
+// unowned and may be null (a relation nothing describes estimates 0
+// rows; no feedback or density memo means a fresh model per call); the
+// context must outlive the RewriteExpr call.
 struct CostPlannerContext {
   const Database* db = nullptr;
   const PagedSet* paged = nullptr;
@@ -40,9 +34,7 @@ struct CostPlannerContext {
   StatsCatalog* stats = nullptr;
   SelectivityFeedback* feedback = nullptr;
   DensityCache* densities = nullptr;
-  ArtifactCache* cache = nullptr;
   int truncation = 4;
-  bool enable_dfa = true;
   CostModel model;
 };
 
@@ -60,8 +52,9 @@ std::vector<ColumnDist> EstimateColumnDists(const AlgebraExpr& expr,
                                             const CostPlannerContext& ctx);
 
 // Statistics-backed cardinality estimate for db(E↓l).  Always finite
-// and non-negative; falls back to EstimateCardinality's heuristics when
-// no statistics reach a leaf.
+// and non-negative.  A relation leaf reads its statistics, else its
+// paged source's tuple count, else estimates 0 rows; Σ*/Σ^l leaves count
+// Σ^{<=l} exactly.
 double EstimateRows(const AlgebraExpr& expr, const CostPlannerContext& ctx);
 
 // σ_A selectivity in [0, 1]: the DFA acceptance density under the

@@ -1,7 +1,10 @@
 #include "engine/engine.h"
 
+#include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <optional>
+#include <span>
 #include <set>
 #include <unordered_map>
 #include <utility>
@@ -9,10 +12,8 @@
 
 #include "core/metrics.h"
 #include "engine/cost.h"
-#include "fsa/accept.h"
-#include "fsa/codegen/program.h"
+#include "fsa/acceptor.h"
 #include "fsa/generate.h"
-#include "fsa/kernel.h"
 
 namespace strdb {
 
@@ -28,36 +29,20 @@ int64_t ElapsedNs(Clock::time_point since) {
       .count();
 }
 
-void FlattenProduct(const AlgebraExpr& e, std::vector<AlgebraExpr>* out) {
-  if (e.kind() == Kind::kProduct) {
-    FlattenProduct(e.Left(), out);
-    FlattenProduct(e.Right(), out);
-  } else {
-    out->push_back(e);
-  }
-}
-
 // Lowers the (rewritten) algebra AST to a physical-plan DAG.  Subtrees
 // shared in the AST — including those unified by the CSE rewrite — lower
 // to one PlanNode, which the executor evaluates once.
 class Planner {
  public:
   Planner(const Database& db, const EvalOptions& options,
-          const CostPlannerContext* cost_ctx)
+          const CostPlannerContext& cost_ctx)
       : db_(db), options_(options), cost_ctx_(cost_ctx) {}
 
   Result<std::shared_ptr<PlanNode>> Lower(const AlgebraExpr& e) {
     auto it = memo_.find(e.node_identity());
     if (it != memo_.end()) return it->second;
     STRDB_ASSIGN_OR_RETURN(std::shared_ptr<PlanNode> node, LowerNew(e));
-    if (cost_ctx_ != nullptr) {
-      node->est_rows = EstimateRows(e, *cost_ctx_);
-    } else {
-      node->est_rows =
-          node->op == Op::kPagedScan
-              ? static_cast<double>(node->source->tuple_count())
-              : EstimateCardinality(e, db_, options_.truncation);
-    }
+    node->est_rows = EstimateRows(e, cost_ctx_);
     memo_.emplace(e.node_identity(), node);
     return node;
   }
@@ -163,7 +148,7 @@ class Planner {
 
   const Database& db_;
   const EvalOptions& options_;
-  const CostPlannerContext* cost_ctx_;  // nullptr = heuristic estimates
+  const CostPlannerContext& cost_ctx_;
   std::unordered_map<const AlgebraExpr::Node*, std::shared_ptr<PlanNode>>
       memo_;
 };
@@ -318,273 +303,115 @@ class Executor {
     return Status::Internal("unknown plan operator");
   }
 
-  // Fetches (or compiles) the acceptance kernel for `node`'s automaton.
-  // Returns nullptr when the kernel is disabled or uncompilable, in
-  // which case the caller falls back to the reference BFS.
-  Result<std::shared_ptr<const AcceptKernel>> KernelFor(PlanNode* node) {
-    if (!engine_options_.enable_kernel) return std::shared_ptr<const AcceptKernel>();
-    if (cache_ != nullptr) {
-      std::string key = node->fsa_key + "\n|kernel";
-      std::shared_ptr<const AcceptKernel> kernel = cache_->GetKernel(key);
-      if (kernel != nullptr) {
-        ++node->stats.cache_hits;
-        return kernel;
-      }
-      ++node->stats.cache_misses;
-      Result<AcceptKernel> compiled = AcceptKernel::Compile(*node->fsa);
-      if (!compiled.ok()) return std::shared_ptr<const AcceptKernel>();
-      return cache_->PutKernel(key, std::move(compiled).value(),
-                               options_.budget);
-    }
-    Result<AcceptKernel> compiled = AcceptKernel::Compile(*node->fsa);
-    if (!compiled.ok()) return std::shared_ptr<const AcceptKernel>();
-    return std::make_shared<const AcceptKernel>(std::move(compiled).value());
-  }
-
-  // Fetches (or compiles) the DFA-tier program for `node`'s automaton.
-  // Returns nullptr when the tier is disabled, the machine is outside
-  // its applicability class (two-way, nondeterministic head schedule)
-  // or past the subset-construction caps — the caller then falls back
-  // to the kernel.  Refusals are cached too, so an inapplicable machine
-  // pays the classification once, not per query.
-  Result<std::shared_ptr<const DfaProgram>> DfaFor(PlanNode* node) {
-    if (!engine_options_.enable_dfa) {
-      return std::shared_ptr<const DfaProgram>();
-    }
-    static Counter* const hits =
+  // The σ automaton of `node` compiled to its acceptance tier, fetched
+  // from the artifact cache when caching is on.
+  Result<std::shared_ptr<const Acceptor>> AcceptorFor(PlanNode* node) {
+    static Counter* const dfa_hits =
         MetricsRegistry::Global().GetCounter("fsa.dfa.cache_hits");
     static Counter* const fallbacks =
         MetricsRegistry::Global().GetCounter("fsa.dfa.fallbacks");
+    std::shared_ptr<const Acceptor> acceptor;
+    bool hit = false;
     if (cache_ != nullptr) {
-      std::string key = node->fsa_key + "\n|dfa";
-      std::shared_ptr<const DfaCompilation> cached = cache_->GetDfa(key);
-      if (cached != nullptr) {
-        if (cached->program != nullptr) {
-          ++node->stats.cache_hits;
-          hits->Increment();
-          return cached->program;
-        }
-        fallbacks->Increment();
-        return std::shared_ptr<const DfaProgram>();
-      }
-      ++node->stats.cache_misses;
-      DfaCompilation fresh;
-      Result<DfaProgram> compiled = DfaProgram::Compile(*node->fsa);
-      if (compiled.ok()) {
-        fresh.program =
-            std::make_shared<const DfaProgram>(std::move(compiled).value());
-      } else {
-        fresh.failure = compiled.status();
-        fallbacks->Increment();
-      }
-      STRDB_ASSIGN_OR_RETURN(std::shared_ptr<const DfaCompilation> stored,
-                             cache_->PutDfa(key, std::move(fresh),
-                                            options_.budget));
-      return stored->program;
+      STRDB_ASSIGN_OR_RETURN(acceptor,
+                             cache_->GetAcceptor(node->fsa_key, node->fsa,
+                                                 &hit, options_.budget));
+      ++(hit ? node->stats.cache_hits : node->stats.cache_misses);
+    } else {
+      acceptor = std::make_shared<const Acceptor>(Acceptor::Compile(node->fsa));
     }
-    Result<DfaProgram> compiled = DfaProgram::Compile(*node->fsa);
-    if (!compiled.ok()) {
+    if (acceptor->tier() != Acceptor::Tier::kDfa) {
       fallbacks->Increment();
-      return std::shared_ptr<const DfaProgram>();
+    } else if (hit) {
+      dfa_hits->Increment();
     }
-    return std::make_shared<const DfaProgram>(std::move(compiled).value());
+    return acceptor;
   }
 
+  // σ_A as a filter.  A spilled child that no other parent materialised
+  // is streamed: its heap's decoded batches go through acceptance one by
+  // one and only survivors are kept, so peak memory is the buffer-pool
+  // cap plus one batch plus the output.  Any other child is evaluated
+  // and filtered as a single batch.  Both routes reach the same verdicts;
+  // only where budget errors surface can differ.
   Result<StringRelation> FilterSelect(PlanNode* node) {
-    PlanNode* child_node = node->children[0].get();
-    if (child_node->op == Op::kPagedScan && engine_options_.enable_paged &&
-        child_node->source != nullptr &&
-        memo_.find(child_node) == memo_.end()) {
-      return StreamFilterSelect(node, child_node);
-    }
-    STRDB_ASSIGN_OR_RETURN(const StringRelation* child, Eval(child_node));
-    node->stats.tuples_in = child->size();
+    STRDB_ASSIGN_OR_RETURN(std::shared_ptr<const Acceptor> acceptor,
+                           AcceptorFor(node));
+    PlanNode* child = node->children[0].get();
+    StringRelation out(node->arity);
     std::vector<const Tuple*> tuples;
-    tuples.reserve(static_cast<size_t>(child->size()));
-    for (const Tuple& t : child->tuples()) tuples.push_back(&t);
-    int64_t n = static_cast<int64_t>(tuples.size());
-
-    std::vector<char> accepted(tuples.size(), 0);
-    std::vector<int64_t> steps(tuples.size(), 0);
-    std::vector<Status> errors(tuples.size());
-    const Fsa& fsa = *node->fsa;
-    // Fallback ladder: DFA program → CSR kernel → reference BFS.  The
-    // kernel is only compiled when the DFA tier bowed out.
-    STRDB_ASSIGN_OR_RETURN(std::shared_ptr<const DfaProgram> dfa,
-                           DfaFor(node));
-    std::shared_ptr<const AcceptKernel> kernel;
-    if (dfa == nullptr) {
-      STRDB_ASSIGN_OR_RETURN(kernel, KernelFor(node));
+    if (child->op == Op::kPagedScan && child->source != nullptr &&
+        memo_.find(child) == memo_.end()) {
+      Clock::time_point child_start = Clock::now();
+      STRDB_RETURN_IF_ERROR(child->source->Scan(
+          [&](const std::vector<Tuple>& batch) -> Status {
+            int64_t n = static_cast<int64_t>(batch.size());
+            node->stats.tuples_in += n;
+            child->stats.tuples_out += n;
+            if (options_.budget != nullptr) {
+              // Scanned rows are charged as the child materialisation
+              // would have been, so streaming changes memory, not cost.
+              STRDB_RETURN_IF_ERROR(options_.budget->ChargeRows(n));
+            }
+            tuples.clear();
+            for (const Tuple& t : batch) tuples.push_back(&t);
+            STRDB_RETURN_IF_ERROR(Filter(node, *acceptor, tuples, &out));
+            if (out.size() > options_.max_tuples) {
+              return Status::ResourceExhausted(
+                  "selection exceeds " + std::to_string(options_.max_tuples) +
+                  " tuples");
+            }
+            return Status::OK();
+          }));
+      child->stats.wall_ns += ElapsedNs(child_start);
+      return out;
     }
+    STRDB_ASSIGN_OR_RETURN(const StringRelation* rel, Eval(child));
+    node->stats.tuples_in = rel->size();
+    tuples.reserve(static_cast<size_t>(rel->size()));
+    for (const Tuple& t : rel->tuples()) tuples.push_back(&t);
+    STRDB_RETURN_IF_ERROR(Filter(node, *acceptor, tuples, &out));
+    return out;
+  }
+
+  // Decides `tuples` and inserts the accepted ones into `out`.  Inputs
+  // of at least parallel_threshold tuples are split into chunks across
+  // the pool, one AcceptBatch per chunk; the merge runs in input order,
+  // so the result and the first error surfaced do not depend on how the
+  // chunks were scheduled.
+  Status Filter(PlanNode* node, const Acceptor& acceptor,
+                std::span<const Tuple* const> tuples, StringRelation* out) {
     AcceptOptions accept_opts;
     accept_opts.budget = options_.budget;  // shared account; charging is atomic
-    auto check_range = [&](int64_t begin, int64_t end) {
-      // One scratch per pool thread, reused across chunks, batches and
-      // queries: the warm path allocates nothing per tuple.
-      thread_local AcceptScratch scratch;
-      thread_local DfaScratch dfa_scratch;
-      if (dfa != nullptr) {
-        if (begin >= end) return;
-        // The whole chunk advances through the row table lanes-at-a-time.
-        std::vector<const Tuple*> slice(
-            tuples.begin() + static_cast<ptrdiff_t>(begin),
-            tuples.begin() + static_cast<ptrdiff_t>(end));
-        DfaBatchResult res = AcceptBatch(*dfa, slice, &dfa_scratch,
-                                         accept_opts);
-        for (size_t j = 0; j < slice.size(); ++j) {
-          size_t i = static_cast<size_t>(begin) + j;
-          if (!res.statuses[j].ok()) {
-            errors[i] = res.statuses[j];
-            continue;
-          }
-          accepted[i] = res.accepted[j];
-        }
-        // The batch reports aggregate chain steps; park them on the
-        // chunk's first slot so the input-order merge sums correctly.
-        steps[static_cast<size_t>(begin)] = res.configurations_visited;
-        return;
-      }
-      for (int64_t i = begin; i < end; ++i) {
-        Result<AcceptStats> res =
-            kernel != nullptr
-                ? scratch.Accept(*kernel, *tuples[static_cast<size_t>(i)],
-                                 accept_opts)
-                : AcceptsWithStats(fsa, *tuples[static_cast<size_t>(i)],
-                                   accept_opts);
-        if (!res.ok()) {
-          errors[static_cast<size_t>(i)] = res.status();
-          continue;
-        }
-        accepted[static_cast<size_t>(i)] = res->accepted ? 1 : 0;
-        steps[static_cast<size_t>(i)] = res->configurations_visited;
-      }
-    };
-    bool parallel = engine_options_.enable_parallel &&
-                    pool_->num_threads() > 1 &&
-                    n >= engine_options_.parallel_threshold;
-    if (parallel) {
-      pool_->ParallelFor(n, check_range);
+    const int64_t n = static_cast<int64_t>(tuples.size());
+    AcceptBatchResult result;
+    if (pool_->num_threads() > 1 && n >= engine_options_.parallel_threshold) {
+      result.statuses.resize(tuples.size());
+      result.accepted.resize(tuples.size());
+      std::atomic<int64_t> steps{0};
+      pool_->ParallelFor(n, [&](int64_t begin, int64_t end) {
+        AcceptBatchResult part = acceptor.AcceptBatch(
+            tuples.subspan(static_cast<size_t>(begin),
+                           static_cast<size_t>(end - begin)),
+            accept_opts);
+        std::move(part.statuses.begin(), part.statuses.end(),
+                  result.statuses.begin() + begin);
+        std::copy(part.accepted.begin(), part.accepted.end(),
+                  result.accepted.begin() + begin);
+        steps += part.configurations_visited;
+      });
+      result.configurations_visited = steps;
     } else {
-      check_range(0, n);
+      result = acceptor.AcceptBatch(tuples, accept_opts);
     }
-    // Merge in input order: the result (and the first error surfaced) is
-    // the same no matter how the chunks were scheduled.
-    StringRelation out(node->arity);
+    node->stats.fsa_steps += result.configurations_visited;
     for (size_t i = 0; i < tuples.size(); ++i) {
-      STRDB_RETURN_IF_ERROR(errors[i]);
-      node->stats.fsa_steps += steps[i];
-      if (accepted[i]) {
-        STRDB_RETURN_IF_ERROR(out.Insert(*tuples[i]));
+      STRDB_RETURN_IF_ERROR(result.statuses[i]);
+      if (result.accepted[i]) {
+        STRDB_RETURN_IF_ERROR(out->Insert(*tuples[i]));
       }
     }
-    return out;
-  }
-
-  // σ_A over a spilled relation: pump the heap's decoded batches through
-  // acceptance and keep only survivors, so the input relation is never
-  // resident — peak memory is the buffer-pool cap plus one batch plus the
-  // (filtered) output.  Same verdicts as the materialise-then-filter
-  // path; only where budget errors surface can differ.
-  Result<StringRelation> StreamFilterSelect(PlanNode* node, PlanNode* child) {
-    Clock::time_point child_start = Clock::now();
-    const Fsa& fsa = *node->fsa;
-    STRDB_ASSIGN_OR_RETURN(std::shared_ptr<const DfaProgram> dfa,
-                           DfaFor(node));
-    std::shared_ptr<const AcceptKernel> kernel;
-    if (dfa == nullptr) {
-      STRDB_ASSIGN_OR_RETURN(kernel, KernelFor(node));
-    }
-    AcceptOptions accept_opts;
-    accept_opts.budget = options_.budget;
-    StringRelation out(node->arity);
-    STRDB_RETURN_IF_ERROR(child->source->Scan(
-        [&](const std::vector<Tuple>& batch) -> Status {
-          int64_t n = static_cast<int64_t>(batch.size());
-          node->stats.tuples_in += n;
-          child->stats.tuples_out += n;
-          if (options_.budget != nullptr) {
-            // Scanned rows are charged as the child materialisation
-            // would have been, so the flag changes memory, not cost.
-            STRDB_RETURN_IF_ERROR(options_.budget->ChargeRows(n));
-          }
-          bool parallel = engine_options_.enable_parallel &&
-                          pool_->num_threads() > 1 &&
-                          n >= engine_options_.parallel_threshold;
-          if (dfa != nullptr && !parallel) {
-            // The streamed batch drives the DFA tier's lane interpreter
-            // directly: one page's worth of tuples per AcceptBatch call.
-            std::vector<const Tuple*> ptrs;
-            ptrs.reserve(batch.size());
-            for (const Tuple& t : batch) ptrs.push_back(&t);
-            thread_local DfaScratch scratch;
-            DfaBatchResult res = AcceptBatch(*dfa, ptrs, &scratch,
-                                             accept_opts);
-            node->stats.fsa_steps += res.configurations_visited;
-            for (size_t i = 0; i < batch.size(); ++i) {
-              STRDB_RETURN_IF_ERROR(res.statuses[i]);
-              if (res.accepted[i]) {
-                STRDB_RETURN_IF_ERROR(out.Insert(batch[i]));
-              }
-            }
-          } else if (kernel != nullptr && !parallel) {
-            std::vector<const Tuple*> ptrs;
-            ptrs.reserve(batch.size());
-            for (const Tuple& t : batch) ptrs.push_back(&t);
-            thread_local AcceptScratch scratch;
-            KernelBatchResult res =
-                AcceptBatch(*kernel, ptrs, &scratch, accept_opts);
-            node->stats.fsa_steps += res.configurations_visited;
-            for (size_t i = 0; i < batch.size(); ++i) {
-              STRDB_RETURN_IF_ERROR(res.statuses[i]);
-              if (res.accepted[i]) {
-                STRDB_RETURN_IF_ERROR(out.Insert(batch[i]));
-              }
-            }
-          } else {
-            std::vector<char> accepted(batch.size(), 0);
-            std::vector<int64_t> steps(batch.size(), 0);
-            std::vector<Status> errors(batch.size());
-            auto check_range = [&](int64_t begin, int64_t end) {
-              thread_local AcceptScratch scratch;
-              thread_local DfaScratch dfa_scratch;
-              for (int64_t i = begin; i < end; ++i) {
-                const Tuple& t = batch[static_cast<size_t>(i)];
-                Result<AcceptStats> res =
-                    dfa != nullptr
-                        ? dfa->Accept(t, &dfa_scratch, accept_opts)
-                    : kernel != nullptr
-                        ? scratch.Accept(*kernel, t, accept_opts)
-                        : AcceptsWithStats(fsa, t, accept_opts);
-                if (!res.ok()) {
-                  errors[static_cast<size_t>(i)] = res.status();
-                  continue;
-                }
-                accepted[static_cast<size_t>(i)] = res->accepted ? 1 : 0;
-                steps[static_cast<size_t>(i)] = res->configurations_visited;
-              }
-            };
-            if (parallel) {
-              pool_->ParallelFor(n, check_range);
-            } else {
-              check_range(0, n);
-            }
-            for (size_t i = 0; i < batch.size(); ++i) {
-              STRDB_RETURN_IF_ERROR(errors[i]);
-              node->stats.fsa_steps += steps[i];
-              if (accepted[i]) {
-                STRDB_RETURN_IF_ERROR(out.Insert(batch[i]));
-              }
-            }
-          }
-          if (out.size() > options_.max_tuples) {
-            return Status::ResourceExhausted("selection exceeds " +
-                                             std::to_string(options_.max_tuples) +
-                                             " tuples");
-          }
-          return Status::OK();
-        }));
-    child->stats.wall_ns += ElapsedNs(child_start);
-    return out;
+    return Status::OK();
   }
 
   Result<StringRelation> GenerateSelect(PlanNode* node) {
@@ -769,7 +596,7 @@ struct EngineMetrics {
 Engine::Engine(EngineOptions options)
     : options_(options),
       cache_(options.cache_max_bytes),
-      pool_(options.enable_parallel ? options.num_threads : 1) {}
+      pool_(options.num_threads) {}
 
 Result<std::shared_ptr<PlanNode>> Engine::Plan(const AlgebraExpr& expr,
                                                const Database& db,
@@ -781,20 +608,14 @@ Result<std::shared_ptr<PlanNode>> Engine::Plan(const AlgebraExpr& expr,
   cost_ctx.stats = &stats_catalog_;
   cost_ctx.feedback = &feedback_;
   cost_ctx.densities = &densities_;
-  cost_ctx.cache = options_.enable_cache ? &cache_ : nullptr;
   cost_ctx.truncation = options.truncation;
-  cost_ctx.enable_dfa = options_.enable_dfa && options.enable_dfa;
   AlgebraExpr target = expr;
   if (options_.enable_rewrites) {
     RewriteOptions rewrites = options_.rewrites;
-    if (options_.enable_cost_planner) {
-      rewrites.cost_planner = &cost_ctx;
-    }
-    STRDB_ASSIGN_OR_RETURN(target,
-                           RewriteExpr(expr, db, options, rewrites));
+    rewrites.cost_planner = &cost_ctx;
+    STRDB_ASSIGN_OR_RETURN(target, RewriteExpr(expr, db, rewrites));
   }
-  Planner planner(db, options,
-                  options_.enable_cost_planner ? &cost_ctx : nullptr);
+  Planner planner(db, options, cost_ctx);
   return planner.Lower(target);
 }
 
@@ -812,10 +633,8 @@ Result<StringRelation> Engine::Execute(const AlgebraExpr& expr,
   Result<const StringRelation*> result = executor.Eval(root.get());
   int64_t wall_ns = ElapsedNs(start);
   metrics.wall_us->Record(wall_ns / 1000);
-  if (options_.enable_cost_planner) {
-    std::set<const PlanNode*> seen;
-    RecordSelectivities(*root, &seen, &feedback_);
-  }
+  std::set<const PlanNode*> seen;
+  RecordSelectivities(*root, &seen, &feedback_);
   if (!result.ok()) {
     // The plan nodes keep whatever counters the partial run accumulated,
     // so a budget-exhausted query is still fully observable.

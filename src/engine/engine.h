@@ -20,43 +20,16 @@ struct EngineOptions {
   bool enable_rewrites = true;
   RewriteOptions rewrites;
   // Reuse compiled σ_A artifacts (specialised automata, bounded
-  // generations) across selections and across Execute calls.
+  // generations, acceptors) across selections and across Execute calls.
   bool enable_cache = true;
   // Byte bound of the artifact cache (LRU-evicted; <= 0 picks the
   // default).  The bound holds at all times, not just between queries.
   int64_t cache_max_bytes = ArtifactCache::kDefaultMaxBytes;
-  // Run σ_A filters through the compiled acceptance kernel
-  // (fsa/kernel): CSR-indexed transitions, a one-way fast path and
-  // reusable per-thread scratch.  Off = every tuple runs the reference
-  // Theorem 3.3 BFS (AcceptsWithStats); answers are identical either
-  // way, only speed differs.
-  bool enable_kernel = true;
-  // Route σ_A filters through the DFA codegen tier (fsa/dfa +
-  // fsa/codegen) when the automaton is one-way and move-deterministic:
-  // subset-constructed, minimised and lowered to threaded bytecode with
-  // a batched execution path.  Machines outside the class — or past the
-  // subset-construction caps — silently fall back to the CSR kernel
-  // (and the kernel to the reference BFS), so the fallback ladder is
-  // DFA → kernel → BFS and answers are identical at every rung.
-  bool enable_dfa = true;
-  // Partition filter-select inputs across the thread pool.  Inputs
-  // smaller than `parallel_threshold` tuples run on the calling thread.
-  bool enable_parallel = true;
+  // Filter-select inputs of at least `parallel_threshold` tuples are
+  // partitioned across the thread pool; with one thread every input
+  // runs on the calling thread.
   int num_threads = 0;  // <= 0 picks hardware_concurrency()
   int64_t parallel_threshold = 32;
-  // Stream spilled (out-of-core) relations through σ_A filters batch by
-  // batch instead of materialising them first.  Off = paged relations
-  // are materialised on first use (the differential oracle path);
-  // answers are identical either way, only peak memory differs.
-  bool enable_paged = true;
-  // Replace the heuristic product-reordering pass with the cost-based
-  // DP planner (engine/planner): statistics-backed cardinalities, σ_A
-  // selectivity from DFA acceptance density, Selinger bitset DP over
-  // product factors (with tape permutation under a σ), and observed
-  // selectivities fed back as adaptive corrections.  Any estimation
-  // failure falls back to the heuristic order; answers are identical
-  // either way, only plan shape differs.
-  bool enable_cost_planner = true;
 };
 
 // Planning + execution engine for the alignment algebra: lowers an

@@ -47,7 +47,7 @@ struct PlanNode {
   std::string relation;            // kScan, kPagedScan
   // kPagedScan: the out-of-core relation.  A FilterSelect parent streams
   // its batches through acceptance without materialising; any other
-  // parent (or a disabled paged path) materialises it on first Eval.
+  // parent materialises it on first Eval.
   std::shared_ptr<const TupleSource> source;
   int sigma_l = -1;                // kDomain
   std::vector<int> columns;        // kProject

@@ -11,23 +11,6 @@ namespace {
 
 using Kind = AlgebraExpr::Kind;
 
-void Flatten(const AlgebraExpr& e, std::vector<AlgebraExpr>* out) {
-  if (e.kind() == Kind::kProduct) {
-    Flatten(e.Left(), out);
-    Flatten(e.Right(), out);
-  } else {
-    out->push_back(e);
-  }
-}
-
-AlgebraExpr BuildProduct(std::vector<AlgebraExpr> factors) {
-  AlgebraExpr out = std::move(factors.front());
-  for (size_t i = 1; i < factors.size(); ++i) {
-    out = AlgebraExpr::Product(std::move(out), std::move(factors[i]));
-  }
-  return out;
-}
-
 bool IsIdentity(const std::vector<int>& order) {
   for (size_t i = 0; i < order.size(); ++i) {
     if (order[i] != static_cast<int>(i)) return false;
@@ -179,7 +162,7 @@ Result<AlgebraExpr> CostBasedReorder(const AlgebraExpr& e,
     }
     case Kind::kSelect: {
       std::vector<AlgebraExpr> factors;
-      Flatten(e.Left(), &factors);
+      FlattenProduct(e.Left(), &factors);
       std::vector<AlgebraExpr> rebuilt;
       rebuilt.reserve(factors.size());
       for (const AlgebraExpr& f : factors) {
@@ -229,7 +212,7 @@ Result<AlgebraExpr> CostBasedReorder(const AlgebraExpr& e,
       break;
   }
   std::vector<AlgebraExpr> factors;
-  Flatten(e, &factors);
+  FlattenProduct(e, &factors);
   std::vector<AlgebraExpr> rebuilt;
   rebuilt.reserve(factors.size());
   for (const AlgebraExpr& f : factors) {

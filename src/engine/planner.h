@@ -13,8 +13,7 @@ namespace strdb {
 // `perm[i]` of the input (`perm` is a permutation of 0..k-1).  Tapes
 // are symmetric in the k-FSA model, so the result accepts exactly the
 // correspondingly permuted tuples — the piece that lets the planner
-// reorder product factors *under* a σ, which the heuristic pass must
-// leave pinned.
+// reorder product factors *under* a σ without changing what it selects.
 Result<Fsa> PermuteTapes(const Fsa& fsa, const std::vector<int>& perm);
 
 // Selinger-style bitset DP over product factors: finds the left-deep
@@ -27,12 +26,12 @@ inline constexpr int kMaxDpFactors = 12;
 std::vector<int> DpOrderFactors(const std::vector<double>& rows,
                                 const CostModel& model);
 
-// The cost-based replacement for the heuristic product-reordering pass:
-// walks the expression, estimates factor cardinalities from statistics
-// (EstimateRows), orders every product — including products directly
-// under a σ, via PermuteTapes — by DP, and restores the original column
-// order with a projection.  Answer-preserving by construction; the
-// rewrite pipeline additionally guards arity and finite evaluability.
+// The rewrite pipeline's product-reordering pass: walks the expression,
+// estimates factor cardinalities from statistics (EstimateRows), orders
+// every product — including products directly under a σ, via
+// PermuteTapes — by DP, and restores the original column order with a
+// projection.  Answer-preserving by construction; the rewrite pipeline
+// additionally guards arity and finite evaluability.
 Result<AlgebraExpr> CostBasedReorder(const AlgebraExpr& expr,
                                      const CostPlannerContext& ctx);
 

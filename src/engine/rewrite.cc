@@ -1,9 +1,7 @@
 #include "engine/rewrite.h"
 
 #include <algorithm>
-#include <cmath>
 #include <map>
-#include <numeric>
 #include <optional>
 #include <string>
 #include <vector>
@@ -17,24 +15,6 @@ namespace strdb {
 namespace {
 
 using Kind = AlgebraExpr::Kind;
-
-void Flatten(const AlgebraExpr& e, std::vector<AlgebraExpr>* out) {
-  if (e.kind() == Kind::kProduct) {
-    Flatten(e.Left(), out);
-    Flatten(e.Right(), out);
-  } else {
-    out->push_back(e);
-  }
-}
-
-// Left-assoc product of a non-empty factor list.
-AlgebraExpr BuildProduct(std::vector<AlgebraExpr> factors) {
-  AlgebraExpr out = std::move(factors.front());
-  for (size_t i = 1; i < factors.size(); ++i) {
-    out = AlgebraExpr::Product(std::move(out), std::move(factors[i]));
-  }
-  return out;
-}
 
 // Tape i is disregarded by `fsa` iff every transition pins it to ⊢ and
 // never moves it — acceptance is then independent of the tape's content
@@ -131,7 +111,7 @@ Result<AlgebraExpr> PushdownSelect(const AlgebraExpr& select,
   }
   if (child.kind() == Kind::kProduct) {
     std::vector<AlgebraExpr> factors;
-    Flatten(child, &factors);
+    FlattenProduct(child, &factors);
     std::vector<bool> ignored = DisregardedTapes(fsa);
     std::vector<bool> pulled(factors.size(), false);
     int offset = 0, kept = 0;
@@ -237,7 +217,7 @@ Result<AlgebraExpr> SpecializeConstants(const AlgebraExpr& e,
   }
   STRDB_ASSIGN_OR_RETURN(AlgebraExpr child, SpecializeConstants(e.Left(), db));
   std::vector<AlgebraExpr> factors;
-  Flatten(child, &factors);
+  FlattenProduct(child, &factors);
   std::vector<bool> constant(factors.size(), false);
   std::vector<std::optional<std::string>> fixed(
       static_cast<size_t>(e.arity()), std::nullopt);
@@ -270,99 +250,7 @@ Result<AlgebraExpr> SpecializeConstants(const AlgebraExpr& e,
   return RebuildSplitSelect(factors, constant, *std::move(specialized));
 }
 
-// --- pass 3: product reordering by estimated cardinality --------------------
-
-Result<AlgebraExpr> ReorderProducts(const AlgebraExpr& e, const Database& db,
-                                    int truncation) {
-  switch (e.kind()) {
-    case Kind::kRelation:
-    case Kind::kSigmaStar:
-    case Kind::kSigmaL:
-      return e;
-    case Kind::kUnion: {
-      STRDB_ASSIGN_OR_RETURN(AlgebraExpr l,
-                             ReorderProducts(e.Left(), db, truncation));
-      STRDB_ASSIGN_OR_RETURN(AlgebraExpr r,
-                             ReorderProducts(e.Right(), db, truncation));
-      return AlgebraExpr::Union(std::move(l), std::move(r));
-    }
-    case Kind::kDifference: {
-      STRDB_ASSIGN_OR_RETURN(AlgebraExpr l,
-                             ReorderProducts(e.Left(), db, truncation));
-      STRDB_ASSIGN_OR_RETURN(AlgebraExpr r,
-                             ReorderProducts(e.Right(), db, truncation));
-      return AlgebraExpr::Difference(std::move(l), std::move(r));
-    }
-    case Kind::kProject: {
-      STRDB_ASSIGN_OR_RETURN(AlgebraExpr c,
-                             ReorderProducts(e.Left(), db, truncation));
-      return AlgebraExpr::Project(std::move(c), e.columns());
-    }
-    case Kind::kRestrict: {
-      STRDB_ASSIGN_OR_RETURN(AlgebraExpr c,
-                             ReorderProducts(e.Left(), db, truncation));
-      return AlgebraExpr::RestrictToDomain(std::move(c));
-    }
-    case Kind::kSelect: {
-      // The child product's order fixes the tape layout of σ_A: recurse
-      // into the factors but keep their order.
-      std::vector<AlgebraExpr> factors;
-      Flatten(e.Left(), &factors);
-      if (factors.size() == 1) {
-        STRDB_ASSIGN_OR_RETURN(AlgebraExpr c,
-                               ReorderProducts(factors[0], db, truncation));
-        return AlgebraExpr::Select(std::move(c), Fsa(e.fsa()));
-      }
-      std::vector<AlgebraExpr> rebuilt;
-      for (const AlgebraExpr& f : factors) {
-        STRDB_ASSIGN_OR_RETURN(AlgebraExpr rf,
-                               ReorderProducts(f, db, truncation));
-        rebuilt.push_back(std::move(rf));
-      }
-      return AlgebraExpr::Select(BuildProduct(std::move(rebuilt)),
-                                 Fsa(e.fsa()));
-    }
-    case Kind::kProduct:
-      break;
-  }
-  std::vector<AlgebraExpr> factors;
-  Flatten(e, &factors);
-  std::vector<AlgebraExpr> rebuilt;
-  for (const AlgebraExpr& f : factors) {
-    STRDB_ASSIGN_OR_RETURN(AlgebraExpr rf, ReorderProducts(f, db, truncation));
-    rebuilt.push_back(std::move(rf));
-  }
-  std::vector<size_t> order(rebuilt.size());
-  std::iota(order.begin(), order.end(), 0);
-  std::vector<double> card;
-  for (const AlgebraExpr& f : rebuilt) {
-    card.push_back(EstimateCardinality(f, db, truncation));
-  }
-  std::stable_sort(order.begin(), order.end(),
-                   [&](size_t a, size_t b) { return card[a] < card[b]; });
-  bool changed = false;
-  for (size_t i = 0; i < order.size(); ++i) changed |= order[i] != i;
-  if (!changed) return BuildProduct(std::move(rebuilt));
-  std::vector<int> offsets(rebuilt.size(), 0);
-  int offset = 0;
-  for (size_t i = 0; i < rebuilt.size(); ++i) {
-    offsets[i] = offset;
-    offset += rebuilt[i].arity();
-  }
-  // New position of each original column.
-  std::vector<int> restore(static_cast<size_t>(offset));
-  int pos = 0;
-  std::vector<AlgebraExpr> sorted;
-  for (size_t rank = 0; rank < order.size(); ++rank) {
-    size_t i = order[rank];
-    for (int c = 0; c < rebuilt[i].arity(); ++c) {
-      restore[static_cast<size_t>(offsets[i] + c)] = pos++;
-    }
-  }
-  for (size_t i : order) sorted.push_back(rebuilt[i]);
-  return AlgebraExpr::Project(BuildProduct(std::move(sorted)),
-                              std::move(restore));
-}
+// Pass 3, product reordering, is CostBasedReorder (engine/planner).
 
 // --- pass 4: common-subexpression elimination -------------------------------
 
@@ -484,47 +372,7 @@ class HashCons {
 
 }  // namespace
 
-double EstimateCardinality(const AlgebraExpr& e, const Database& db,
-                           int truncation) {
-  constexpr double kCap = 1e18;
-  auto domain_size = [&](int l) {
-    double total = 0, level = 1;
-    for (int i = 0; i <= l; ++i) {
-      total += level;
-      level *= static_cast<double>(db.alphabet().size());
-      if (total > kCap) return kCap;
-    }
-    return total;
-  };
-  switch (e.kind()) {
-    case Kind::kRelation: {
-      Result<const StringRelation*> rel = db.Get(e.relation_name());
-      return rel.ok() ? static_cast<double>((*rel)->size()) : 0.0;
-    }
-    case Kind::kSigmaStar:
-      return domain_size(truncation);
-    case Kind::kSigmaL:
-      return domain_size(e.sigma_l());
-    case Kind::kUnion:
-      return std::min(kCap, EstimateCardinality(e.Left(), db, truncation) +
-                                EstimateCardinality(e.Right(), db, truncation));
-    case Kind::kDifference:
-      return EstimateCardinality(e.Left(), db, truncation);
-    case Kind::kProduct:
-      return std::min(kCap, EstimateCardinality(e.Left(), db, truncation) *
-                                EstimateCardinality(e.Right(), db, truncation));
-    case Kind::kProject:
-    case Kind::kRestrict:
-      return EstimateCardinality(e.Left(), db, truncation);
-    case Kind::kSelect:
-      return std::max(1.0,
-                      EstimateCardinality(e.Left(), db, truncation) * 0.25);
-  }
-  return 0;
-}
-
 Result<AlgebraExpr> RewriteExpr(const AlgebraExpr& expr, const Database& db,
-                                const EvalOptions& options,
                                 const RewriteOptions& rewrites) {
   AlgebraExpr current = expr;
   const bool finitely_evaluable = expr.IsFinitelyEvaluable();
@@ -540,19 +388,9 @@ Result<AlgebraExpr> RewriteExpr(const AlgebraExpr& expr, const Database& db,
   if (rewrites.specialize_constants) {
     guard(SpecializeConstants(current, db));
   }
-  if (rewrites.reorder_products) {
-    bool cost_based = false;
-    if (rewrites.cost_planner != nullptr) {
-      const AlgebraExpr before = current;
-      guard(CostBasedReorder(current, *rewrites.cost_planner));
-      // The guard leaves `current` untouched when the DP pass errors or
-      // violates an invariant; fall through to the heuristic then.
-      cost_based = current.node_identity() != before.node_identity();
-      if (!cost_based) current = before;
-    }
-    if (!cost_based) {
-      guard(ReorderProducts(current, db, options.truncation));
-    }
+  if (rewrites.reorder_products && rewrites.cost_planner != nullptr) {
+    // A failed DP pass leaves `current` in its written order.
+    guard(CostBasedReorder(current, *rewrites.cost_planner));
   }
   if (rewrites.common_subexpressions) {
     HashCons cse;

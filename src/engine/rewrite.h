@@ -19,35 +19,27 @@ struct RewriteOptions {
   // database relation is folded into the automaton (fsa/specialize),
   // shrinking both the σ input and the machine.
   bool specialize_constants = true;
-  // Products reassociate cheapest-factor-first by estimated cardinality,
-  // with a projection restoring the original column order.  Products
-  // directly under a σ keep their order (it fixes the tape layout).
+  // Products are reordered by the cost-based DP planner
+  // (engine/planner.h) — statistics-backed cardinalities, DFA-derived
+  // σ_A selectivities, tape permutation for products under a σ — with a
+  // projection restoring the original column order.  Needs
+  // `cost_planner`; without it, or when the DP pass fails, products keep
+  // their written order.
   bool reorder_products = true;
   // Hash-consing over the shared AST: structurally identical subtrees
   // are unified into one node, which the executor then evaluates once.
   bool common_subexpressions = true;
-  // When set, the reordering pass runs the cost-based DP planner
-  // (engine/planner.h) — statistics-backed cardinalities, DFA-derived
-  // σ_A selectivities, and tape permutation for products under a σ —
-  // falling back to the heuristic sort if the DP pass errors out.  Not
-  // owned; must outlive the RewriteExpr call.
+  // The reordering pass's statistics and cost model.  Not owned; must
+  // outlive the RewriteExpr call.
   const CostPlannerContext* cost_planner = nullptr;
 };
 
-// Applies the pipeline.  The database supplies cardinalities (product
-// reordering) and constant relations (specialisation); the truncation in
-// `options` sizes the Σ*/Σ^l estimates.  Rewrites never change db(E↓l)
-// and preserve IsFinitelyEvaluable(); a pass whose output would violate
-// either guard is skipped wholesale.
+// Applies the pipeline.  The database supplies constant relations
+// (specialisation).  Rewrites never change db(E↓l) and preserve
+// IsFinitelyEvaluable(); a pass whose output would violate either guard
+// is skipped wholesale.
 Result<AlgebraExpr> RewriteExpr(const AlgebraExpr& expr, const Database& db,
-                                const EvalOptions& options,
                                 const RewriteOptions& rewrites = {});
-
-// The planner's cardinality estimate for db(E↓truncation), used to order
-// product factors.  A heuristic: relations report their true size,
-// domains their exact Σ^{<=l} count, selections assume 1/4 selectivity.
-double EstimateCardinality(const AlgebraExpr& expr, const Database& db,
-                           int truncation);
 
 }  // namespace strdb
 

@@ -1,6 +1,7 @@
 #ifndef STRDB_FSA_ACCEPT_H_
 #define STRDB_FSA_ACCEPT_H_
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -36,6 +37,38 @@ struct AcceptStats {
 Result<AcceptStats> AcceptsWithStats(const Fsa& fsa,
                                      const std::vector<std::string>& strings,
                                      const AcceptOptions& options = {});
+
+// Batch acceptance, the same shape for every tier (fsa/acceptor): one
+// verdict (or typed error) per input tuple plus batch-aggregated search
+// stats.  Tuple i's verdict lands in accepted[i] iff statuses[i] is OK.
+struct AcceptBatchResult {
+  std::vector<Status> statuses;
+  std::vector<char> accepted;
+  int64_t configurations_visited = 0;
+  int64_t transitions_tried = 0;
+};
+
+// The batch loop of a decider that takes one tuple at a time:
+// `accept_one(tuple)` returns a Result<AcceptStats>.
+template <typename AcceptOne>
+AcceptBatchResult AcceptEach(
+    std::span<const std::vector<std::string>* const> tuples,
+    AcceptOne&& accept_one) {
+  AcceptBatchResult out;
+  out.statuses.resize(tuples.size());
+  out.accepted.assign(tuples.size(), 0);
+  for (size_t i = 0; i < tuples.size(); ++i) {
+    Result<AcceptStats> r = accept_one(*tuples[i]);
+    if (!r.ok()) {
+      out.statuses[i] = r.status();
+      continue;
+    }
+    out.accepted[i] = r->accepted ? 1 : 0;
+    out.configurations_visited += r->configurations_visited;
+    out.transitions_tried += r->transitions_tried;
+  }
+  return out;
+}
 
 }  // namespace strdb
 

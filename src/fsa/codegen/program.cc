@@ -187,9 +187,9 @@ struct DfaBatchRunner {
     }
   }
 
-  static DfaBatchResult RunBatch(
+  static AcceptBatchResult RunBatch(
       const DfaProgram& p,
-      const std::vector<const std::vector<std::string>*>& tuples,
+      std::span<const std::vector<std::string>* const> tuples,
       DfaScratch* scratch, const AcceptOptions& options);
 };
 
@@ -337,13 +337,13 @@ Result<AcceptStats> DfaProgram::Accept(const std::vector<std::string>& strings,
   return stats;
 }
 
-DfaBatchResult DfaBatchRunner::RunBatch(
+AcceptBatchResult DfaBatchRunner::RunBatch(
     const DfaProgram& p,
-    const std::vector<const std::vector<std::string>*>& tuples,
+    std::span<const std::vector<std::string>* const> tuples,
     DfaScratch* scratch, const AcceptOptions& options) {
   const size_t n = tuples.size();
   const int k = p.k_;
-  DfaBatchResult result;
+  AcceptBatchResult result;
   result.statuses.assign(n, Status::OK());
   result.accepted.assign(n, 0);
 
@@ -507,9 +507,9 @@ DfaBatchResult DfaBatchRunner::RunBatch(
   return result;
 }
 
-DfaBatchResult AcceptBatch(
+AcceptBatchResult AcceptBatch(
     const DfaProgram& program,
-    const std::vector<const std::vector<std::string>*>& tuples,
+    std::span<const std::vector<std::string>* const> tuples,
     DfaScratch* scratch, const AcceptOptions& options) {
   DfaMetrics::Get().batch_rows->Increment(
       static_cast<int64_t>(tuples.size()));

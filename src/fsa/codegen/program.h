@@ -2,7 +2,7 @@
 #define STRDB_FSA_CODEGEN_PROGRAM_H_
 
 #include <cstdint>
-#include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -89,14 +89,6 @@ class DfaProgram {
   DfaBuildStats stats_;
 };
 
-// The outcome of a compile attempt, cacheable either way: the engine
-// caches refusals too, so an automaton that cannot determinise is
-// classified once and every later query goes straight to the kernel.
-struct DfaCompilation {
-  std::shared_ptr<const DfaProgram> program;  // null on refusal
-  Status failure;                             // why, when program is null
-};
-
 // Reusable per-thread scratch: rank rows for the scalar path plus the
 // lane arrays of the batch path.  Buffers grow on demand and are
 // retained across tuples and batches.  Not thread safe.
@@ -127,17 +119,11 @@ class DfaScratch {
   std::vector<int32_t> tuple_roff_;  // per (tuple, tape) rank offsets
 };
 
-// Batch acceptance: one verdict (or typed error) per tuple plus
-// aggregated chain statistics, same shape as the kernel's AcceptBatch.
-struct DfaBatchResult {
-  std::vector<Status> statuses;
-  std::vector<char> accepted;
-  int64_t configurations_visited = 0;
-  int64_t transitions_tried = 0;
-};
-DfaBatchResult AcceptBatch(
+// Batch acceptance through the 64-lane interpreter: one verdict (or
+// typed error) per tuple plus aggregated chain statistics.
+AcceptBatchResult AcceptBatch(
     const DfaProgram& program,
-    const std::vector<const std::vector<std::string>*>& tuples,
+    std::span<const std::vector<std::string>* const> tuples,
     DfaScratch* scratch, const AcceptOptions& options = {});
 
 }  // namespace strdb

@@ -705,24 +705,13 @@ Result<AcceptStats> AcceptScratch::RunOneWayBitset(
   return stats;
 }
 
-KernelBatchResult AcceptBatch(
+AcceptBatchResult AcceptBatch(
     const AcceptKernel& kernel,
-    const std::vector<const std::vector<std::string>*>& tuples,
+    std::span<const std::vector<std::string>* const> tuples,
     AcceptScratch* scratch, const AcceptOptions& options) {
-  KernelBatchResult out;
-  out.statuses.resize(tuples.size());
-  out.accepted.assign(tuples.size(), 0);
-  for (size_t i = 0; i < tuples.size(); ++i) {
-    Result<AcceptStats> r = scratch->Accept(kernel, *tuples[i], options);
-    if (!r.ok()) {
-      out.statuses[i] = r.status();
-      continue;
-    }
-    out.accepted[i] = r->accepted ? 1 : 0;
-    out.configurations_visited += r->configurations_visited;
-    out.transitions_tried += r->transitions_tried;
-  }
-  return out;
+  return AcceptEach(tuples, [&](const std::vector<std::string>& tuple) {
+    return scratch->Accept(kernel, tuple, options);
+  });
 }
 
 }  // namespace strdb

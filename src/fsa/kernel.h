@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -224,18 +225,10 @@ class AcceptScratch {
   std::vector<int32_t> worklist_;
 };
 
-// Batch acceptance: one verdict (or typed error) per input tuple, plus
-// batch-aggregated search stats.  `scratch` is reused across the whole
-// batch; tuple i's verdict lands in accepted[i] iff statuses[i] is OK.
-struct KernelBatchResult {
-  std::vector<Status> statuses;
-  std::vector<char> accepted;
-  int64_t configurations_visited = 0;
-  int64_t transitions_tried = 0;
-};
-KernelBatchResult AcceptBatch(
+// Batch acceptance, tuple by tuple through one reused `scratch`.
+AcceptBatchResult AcceptBatch(
     const AcceptKernel& kernel,
-    const std::vector<const std::vector<std::string>*>& tuples,
+    std::span<const std::vector<std::string>* const> tuples,
     AcceptScratch* scratch, const AcceptOptions& options = {});
 
 }  // namespace strdb

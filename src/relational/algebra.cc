@@ -4,7 +4,6 @@
 #include <optional>
 
 #include "fsa/accept.h"
-#include "fsa/codegen/program.h"
 #include "fsa/generate.h"
 
 namespace strdb {
@@ -141,20 +140,22 @@ std::shared_ptr<const Fsa> AlgebraExpr::shared_fsa() const {
   return node_->fsa;
 }
 
-namespace {
-
-// Flattens nested products into a factor list (left-to-right column
-// order).
-void FlattenProduct(const AlgebraExpr& e, std::vector<AlgebraExpr>* out) {
-  if (e.kind() == AlgebraExpr::Kind::kProduct) {
-    FlattenProduct(e.Left(), out);
-    FlattenProduct(e.Right(), out);
+void FlattenProduct(const AlgebraExpr& expr, std::vector<AlgebraExpr>* out) {
+  if (expr.kind() == AlgebraExpr::Kind::kProduct) {
+    FlattenProduct(expr.Left(), out);
+    FlattenProduct(expr.Right(), out);
   } else {
-    out->push_back(e);
+    out->push_back(expr);
   }
 }
 
-}  // namespace
+AlgebraExpr BuildProduct(std::vector<AlgebraExpr> factors) {
+  AlgebraExpr out = std::move(factors.front());
+  for (size_t i = 1; i < factors.size(); ++i) {
+    out = AlgebraExpr::Product(std::move(out), std::move(factors[i]));
+  }
+  return out;
+}
 
 bool AlgebraExpr::IsFinitelyEvaluable() const {
   switch (kind()) {
@@ -357,24 +358,8 @@ class AlgebraEvaluatorImpl {
       StringRelation out(e.arity());
       AcceptOptions accept_opts;
       accept_opts.budget = options_.budget;
-      // The DFA tier, compiled per call (no cache at this layer): a
-      // refusal — two-way machine, head-schedule nondeterminism, subset
-      // blowup — silently drops to the reference BFS.
-      std::optional<DfaProgram> dfa;
-      if (options_.enable_dfa) {
-        Result<DfaProgram> compiled = DfaProgram::Compile(fsa);
-        if (compiled.ok()) dfa.emplace(std::move(compiled).value());
-      }
-      DfaScratch dfa_scratch;
       for (const Tuple& t : child.tuples()) {
-        bool acc;
-        if (dfa.has_value()) {
-          STRDB_ASSIGN_OR_RETURN(AcceptStats stats,
-                                 dfa->Accept(t, &dfa_scratch, accept_opts));
-          acc = stats.accepted;
-        } else {
-          STRDB_ASSIGN_OR_RETURN(acc, Accepts(fsa, t, accept_opts));
-        }
+        STRDB_ASSIGN_OR_RETURN(bool acc, Accepts(fsa, t, accept_opts));
         if (acc) {
           STRDB_RETURN_IF_ERROR(out.Insert(t));
         }

@@ -114,19 +114,23 @@ struct EvalOptions {
   // plan quality, not correctness.  Not owned; nullptr = recompute from
   // the Database on demand.
   const StatsMap* stats = nullptr;
-  // Run plain-filtering σ_A through the DFA codegen tier when the
-  // automaton admits it (one-way, move-deterministic, within the subset
-  // caps), falling back to the reference BFS otherwise.  Answers are
-  // identical either way; differential oracles pin this to false so the
-  // naive evaluator stays an independent implementation.
-  bool enable_dfa = true;
 };
+
+// Flattens nested products into their factors, in left-to-right column
+// order.
+void FlattenProduct(const AlgebraExpr& expr, std::vector<AlgebraExpr>* out);
+
+// The left-associated product of a non-empty factor list (the inverse of
+// FlattenProduct up to association).
+AlgebraExpr BuildProduct(std::vector<AlgebraExpr> factors);
 
 // Evaluates db(E↓l).  Selections over products containing Σ* factors are
 // evaluated with the FSA *generator* (the generalized-Mealy reading of
 // Definition 3.1) instead of materialising Σ^l, which keeps the common
 // finitely-evaluable form σ_A(F × (Σ*)^n) polynomial in the size of F's
 // value; a bare Σ* elsewhere is materialised as Σ^l (exponential in l).
+// Filtering σ_A decides each tuple with the Theorem 3.3 BFS only, so
+// this evaluator is the engine's differential oracle by construction.
 Result<StringRelation> EvalAlgebra(const AlgebraExpr& expr,
                                    const Database& db,
                                    const EvalOptions& options);

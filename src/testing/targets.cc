@@ -372,8 +372,8 @@ int64_t KernelDiffTarget::CaseSize(const Case& c) const {
 
 namespace {
 
-// The engine falls back from the DFA tier on exactly these two codes;
-// anything else out of DfaProgram::Compile is a bug, not a refusal.
+// The DFA tier's refusals, which send Acceptor::Compile on to the
+// kernel; any other code out of DfaProgram::Compile is a bug.
 bool IsSanctionedDfaRefusal(const Status& status) {
   return status.code() == StatusCode::kUnimplemented ||
          status.code() == StatusCode::kResourceExhausted;
@@ -528,7 +528,7 @@ std::optional<Divergence> DfaDiffTarget::Run(const Case& c) const {
   if (dfa.ok() && !dc.tuples.empty()) {
     std::vector<const Tuple*> batch;
     for (const Tuple& tuple : dc.tuples) batch.push_back(&tuple);
-    DfaBatchResult batched = AcceptBatch(*dfa, batch, &dfa_scratch_);
+    AcceptBatchResult batched = AcceptBatch(*dfa, batch, &dfa_scratch_);
     for (size_t i = 0; i < dc.tuples.size(); ++i) {
       const Result<AcceptStats>& reference = reference_out[i];
       bool agree;
@@ -591,7 +591,8 @@ std::optional<Divergence> DfaDiffTarget::Run(const Case& c) const {
       options.budget = &budget;
       std::vector<const Tuple*> batch;
       for (const Tuple& tuple : dc.tuples) batch.push_back(&tuple);
-      DfaBatchResult batched = AcceptBatch(*dfa, batch, &dfa_scratch_, options);
+      AcceptBatchResult batched =
+          AcceptBatch(*dfa, batch, &dfa_scratch_, options);
       for (size_t i = 0; i < dc.tuples.size(); ++i) {
         AcceptStats stats;
         stats.accepted = batched.accepted[i] != 0;
@@ -933,9 +934,6 @@ EvalOptions EngineSweepOptions() {
   options.truncation = 2;
   options.max_tuples = 20000;
   options.max_steps = 5'000'000;
-  // The naive evaluator is this target's oracle: keep it on the
-  // reference BFS so it stays independent of the tier under test.
-  options.enable_dfa = false;
   return options;
 }
 
@@ -1802,14 +1800,6 @@ EvalOptions PagerSweepOptions() {
   options.truncation = 3;
   options.max_tuples = 20000;
   options.max_steps = 5'000'000;
-  // Both naive routes are oracles here; pin them to the reference BFS.
-  options.enable_dfa = false;
-  return options;
-}
-
-EngineOptions UnpagedEngineOptions() {
-  EngineOptions options;
-  options.enable_paged = false;
   return options;
 }
 
@@ -1873,9 +1863,7 @@ std::string DescribeEval(const Result<StringRelation>& r) {
 }  // namespace
 
 PagerDiffTarget::PagerDiffTarget()
-    : pool_(MakeFsaPool(Alphabet::Binary())),
-      engine_(),
-      unpaged_engine_(UnpagedEngineOptions()) {}
+    : pool_(MakeFsaPool(Alphabet::Binary())), engine_() {}
 
 DiffTarget::CasePtr PagerDiffTarget::Generate(RandomSource& rand) const {
   Alphabet sigma = Alphabet::Binary();
@@ -2031,11 +2019,9 @@ std::optional<Divergence> PagerDiffTarget::RunDiff(const PagerCase& pc) const {
       EvalAlgebra(pc.expr, *snap, paged_options);
   Result<StringRelation> streamed =
       engine_.Execute(pc.expr, *snap, paged_options);
-  Result<StringRelation> materialised =
-      unpaged_engine_.Execute(pc.expr, *snap, paged_options);
   if (!oracle.ok()) {
     // A per-call limit error must surface on every route.
-    if (naive_paged.ok() || streamed.ok() || materialised.ok()) {
+    if (naive_paged.ok() || streamed.ok()) {
       return Divergence{"in-memory oracle failed (" +
                         oracle.status().ToString() +
                         ") but a paged route succeeded: " +
@@ -2047,8 +2033,7 @@ std::optional<Divergence> PagerDiffTarget::RunDiff(const PagerCase& pc) const {
       const Result<StringRelation>* result;
     };
     const Route routes[] = {{"naive-paged", &naive_paged},
-                            {"paged-scan engine", &streamed},
-                            {"paged-off engine", &materialised}};
+                            {"paged-scan engine", &streamed}};
     for (const Route& route : routes) {
       if (!route.result->ok()) {
         return Divergence{std::string(route.label) +
@@ -2567,9 +2552,9 @@ namespace {
 
 constexpr char kPlannerDir[] = "/plannerstore";
 
-EngineOptions HeuristicEngineOptions() {
+EngineOptions WrittenOrderEngineOptions() {
   EngineOptions options;
-  options.enable_cost_planner = false;
+  options.rewrites.reorder_products = false;
   return options;
 }
 
@@ -2644,7 +2629,7 @@ std::optional<Divergence> CheckStoreStats(const CatalogStore& store,
 PlannerDiffTarget::PlannerDiffTarget()
     : pool_(MakeFsaPool(Alphabet::Binary())),
       cost_engine_(),
-      heuristic_engine_(HeuristicEngineOptions()) {}
+      written_order_engine_(WrittenOrderEngineOptions()) {}
 
 DiffTarget::CasePtr PlannerDiffTarget::Generate(RandomSource& rand) const {
   Alphabet sigma = Alphabet::Binary();
@@ -2655,7 +2640,7 @@ DiffTarget::CasePtr PlannerDiffTarget::Generate(RandomSource& rand) const {
     c->db = RandomDatabase(rand, sigma);
     if (rand.Range(0, 2) != 0) {
       // Skew the cardinalities: a bulked-up P gives the DP enumeration a
-      // reason to deviate from the heuristic order, which is exactly the
+      // reason to deviate from the written order, which is exactly the
       // regime where plan shape could change answers.
       std::vector<Tuple> bulk;
       int n = rand.Range(20, 80);
@@ -2750,23 +2735,19 @@ std::optional<Divergence> PlannerDiffTarget::RunDiff(
     supplied[name] = ComputeRelationStats(rel);
   }
 
-  // The engine routes run the full tier ladder (dfa ≡ kernel ≡ BFS is
-  // the dfa target's theorem; this target varies plan shape on top).
-  EvalOptions engine_options = options;
-  engine_options.enable_dfa = true;
-  EvalOptions with_stats = engine_options;
+  EvalOptions with_stats = options;
   with_stats.stats = &supplied;
   ExecStats exec;
   Result<StringRelation> costed =
       cost_engine_.Execute(pc.expr, pc.db, with_stats, &exec);
   Result<StringRelation> self_stats =
-      cost_engine_.Execute(pc.expr, pc.db, engine_options);
-  Result<StringRelation> heuristic =
-      heuristic_engine_.Execute(pc.expr, pc.db, engine_options);
+      cost_engine_.Execute(pc.expr, pc.db, options);
+  Result<StringRelation> written_order =
+      written_order_engine_.Execute(pc.expr, pc.db, options);
 
   if (!naive.ok()) {
     // A per-call limit error must surface on every route.
-    if (costed.ok() || self_stats.ok() || heuristic.ok()) {
+    if (costed.ok() || self_stats.ok() || written_order.ok()) {
       return Divergence{"naive evaluation failed (" +
                         naive.status().ToString() +
                         ") but a planner route succeeded: " +
@@ -2782,7 +2763,7 @@ std::optional<Divergence> PlannerDiffTarget::RunDiff(
                         : "cost planner (supplied stats)",
          &costed},
         {"cost planner (self-computed stats)", &self_stats},
-        {"heuristic planner", &heuristic}};
+        {"written order (reordering off)", &written_order}};
     for (const Route& route : routes) {
       if (!route.result->ok()) {
         return Divergence{std::string(route.label) +

@@ -68,7 +68,7 @@ class KernelDiffTarget : public DiffTarget {
 // reference BFS must agree on verdicts and typed-error codes; machines
 // it refuses must be refused with exactly kUnimplemented (outside the
 // one-way move-deterministic class) or kResourceExhausted (past the
-// caps) — the codes the engine's fallback ladder silently catches.  A
+// caps) — the codes Acceptor::Compile silently routes past.  A
 // budgeted run must return the unbudgeted verdict or kResourceExhausted,
 // never a wrong verdict.
 class DfaDiffTarget : public DiffTarget {
@@ -216,17 +216,16 @@ class StorageRecoverTarget : public DiffTarget {
 //   diff   a random database is pushed through a CatalogStore with a
 //          small spill threshold and checkpointed, so relations land in
 //          the paged heap format (DESIGN.md §10).  A random algebra
-//          expression is then evaluated four ways: the naive evaluator
+//          expression is then evaluated three ways: the naive evaluator
 //          over the original in-memory database (the oracle), the naive
 //          evaluator over snapshot + paged set (materialise-on-touch),
-//          the engine with streaming PagedScan, and the engine with the
-//          paged path disabled.  All four must agree tuple-for-tuple
-//          (or all fail alike).  Additionally: every relation must live
-//          in exactly one of the snapshot and the paged set, spilled
-//          relations must materialise back to exactly their source
-//          tuples, the buffer pool must end with zero pinned bytes and
-//          never exceed its byte cap, and a close/reopen must recover
-//          the identical catalog.
+//          and the engine with streaming PagedScan.  All three must
+//          agree tuple-for-tuple (or all fail alike).  Additionally:
+//          every relation must live in exactly one of the snapshot and
+//          the paged set, spilled relations must materialise back to
+//          exactly their source tuples, the buffer pool must end with
+//          zero pinned bytes and never exceed its byte cap, and a
+//          close/reopen must recover the identical catalog.
 //
 //   crash  the StorageRecoverTarget discipline pointed at spilling
 //          checkpoints: a workload of puts/inserts/drops/checkpoints
@@ -280,10 +279,9 @@ class PagerDiffTarget : public DiffTarget {
   // Shared across cases like EngineDiffTarget's: artifact-cache reuse
   // across paged evaluations is part of what the sweep exercises.
   mutable Engine engine_;
-  mutable Engine unpaged_engine_;
 };
 
-// --- cost-based planner vs heuristic vs naïve evaluator ---------------------
+// --- cost-based planner vs written order vs naïve evaluator ----------------
 //
 // Two modes under one target name, mixed by generation:
 //
@@ -292,7 +290,7 @@ class PagerDiffTarget : public DiffTarget {
 //          engine with the cost-based DP planner on and statistics
 //          supplied, the same engine with no statistics supplied (the
 //          engine computes its own through the epoch cache), and the
-//          engine with the cost planner off (heuristic reorder).  All
+//          engine with product reordering off (the written order).  All
 //          four must agree tuple-for-tuple or all fail alike — plan
 //          shape must never change answers.  Half of the statistics-fed
 //          runs are handed deliberately *stale* statistics (computed
@@ -354,7 +352,7 @@ class PlannerDiffTarget : public DiffTarget {
   // not depend on accumulated cache/feedback state — that independence
   // is part of what the sweep proves.
   mutable Engine cost_engine_;
-  mutable Engine heuristic_engine_;
+  mutable Engine written_order_engine_;
 };
 
 // --- concurrent server vs serial replay ------------------------------------

@@ -239,7 +239,7 @@ TEST(DfaBatchTest, BatchMatchesScalar) {
     tuples[230].pop_back();  // arity error past the first refill
     std::vector<const std::vector<std::string>*> ptrs;
     for (const auto& t : tuples) ptrs.push_back(&t);
-    DfaBatchResult batch = AcceptBatch(*dfa, ptrs, &scratch);
+    AcceptBatchResult batch = AcceptBatch(*dfa, ptrs, &scratch);
     ASSERT_EQ(batch.statuses.size(), tuples.size());
     for (size_t t = 0; t < tuples.size(); ++t) {
       Result<AcceptStats> one = dfa->Accept(tuples[t], &scratch);
@@ -278,7 +278,7 @@ TEST(DfaBatchTest, BudgetExhaustionIsTypedAndPartial) {
   std::vector<std::string> t0 = {w, w};
   std::vector<std::string> t1 = {w, w};
   std::vector<const std::vector<std::string>*> ptrs = {&t0, &t1};
-  DfaBatchResult out = AcceptBatch(*dfa, ptrs, &scratch, batch_options);
+  AcceptBatchResult out = AcceptBatch(*dfa, ptrs, &scratch, batch_options);
   ASSERT_FALSE(out.statuses[0].ok());
   ASSERT_FALSE(out.statuses[1].ok());
   EXPECT_EQ(out.statuses[0].code(), StatusCode::kResourceExhausted);
@@ -290,7 +290,7 @@ TEST(DfaBatchTest, BudgetExhaustionIsTypedAndPartial) {
   ResourceBudget fine(roomy);
   AcceptOptions fine_options;
   fine_options.budget = &fine;
-  DfaBatchResult good = AcceptBatch(*dfa, ptrs, &scratch, fine_options);
+  AcceptBatchResult good = AcceptBatch(*dfa, ptrs, &scratch, fine_options);
   EXPECT_TRUE(good.statuses[0].ok() && good.statuses[1].ok());
   EXPECT_EQ(good.accepted[0], 1);
   EXPECT_GT(fine.steps_used(), 0);

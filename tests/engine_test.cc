@@ -296,7 +296,7 @@ TEST(RewriteTest, PushdownPullsDisregardedFactorsOut) {
   only_pushdown.specialize_constants = false;
   only_pushdown.reorder_products = false;
   only_pushdown.common_subexpressions = false;
-  Result<AlgebraExpr> rewritten = RewriteExpr(*sel, db, kOpts, only_pushdown);
+  Result<AlgebraExpr> rewritten = RewriteExpr(*sel, db, only_pushdown);
   ASSERT_TRUE(rewritten.ok()) << rewritten.status();
   // The selection now reads only the Pairs columns; R1 joins outside it.
   EXPECT_EQ(rewritten->kind(), AlgebraExpr::Kind::kProject);
@@ -322,8 +322,7 @@ TEST(RewriteTest, SpecializeFoldsSingleTupleRelations) {
   only_specialize.pushdown_selections = false;
   only_specialize.reorder_products = false;
   only_specialize.common_subexpressions = false;
-  Result<AlgebraExpr> rewritten =
-      RewriteExpr(*sel, db, kOpts, only_specialize);
+  Result<AlgebraExpr> rewritten = RewriteExpr(*sel, db, only_specialize);
   ASSERT_TRUE(rewritten.ok()) << rewritten.status();
   EXPECT_EQ(rewritten->kind(), AlgebraExpr::Kind::kProject);
   Result<StringRelation> before = EvalAlgebra(*sel, db, kOpts);
@@ -338,7 +337,7 @@ TEST(RewriteTest, PreservesFiniteEvaluabilityAndArity) {
   Database db = MakeDb();
   AlgebraExpr query = ConcatQuery(db.alphabet());
   ASSERT_TRUE(query.IsFinitelyEvaluable());
-  Result<AlgebraExpr> rewritten = RewriteExpr(query, db, kOpts);
+  Result<AlgebraExpr> rewritten = RewriteExpr(query, db);
   ASSERT_TRUE(rewritten.ok()) << rewritten.status();
   EXPECT_EQ(rewritten->arity(), query.arity());
   EXPECT_TRUE(rewritten->IsFinitelyEvaluable());
@@ -350,11 +349,17 @@ TEST(RewriteTest, ReorderPutsSmallFactorsFirst) {
   // restore the column order with a projection.
   AlgebraExpr prod = AlgebraExpr::Product(AlgebraExpr::SigmaL(2),
                                           AlgebraExpr::Relation("R1", 1));
+  StatsCatalog stats;
+  CostPlannerContext ctx;
+  ctx.db = &db;
+  ctx.stats = &stats;
+  ctx.truncation = kOpts.truncation;
   RewriteOptions only_reorder;
   only_reorder.pushdown_selections = false;
   only_reorder.specialize_constants = false;
   only_reorder.common_subexpressions = false;
-  Result<AlgebraExpr> rewritten = RewriteExpr(prod, db, kOpts, only_reorder);
+  only_reorder.cost_planner = &ctx;
+  Result<AlgebraExpr> rewritten = RewriteExpr(prod, db, only_reorder);
   ASSERT_TRUE(rewritten.ok());
   EXPECT_EQ(rewritten->kind(), AlgebraExpr::Kind::kProject);
   EXPECT_EQ(rewritten->Left().Left().kind(), AlgebraExpr::Kind::kRelation);
@@ -362,16 +367,11 @@ TEST(RewriteTest, ReorderPutsSmallFactorsFirst) {
   Result<StringRelation> after = EvalAlgebra(*rewritten, db, kOpts);
   ASSERT_TRUE(before.ok() && after.ok());
   EXPECT_EQ(before->tuples(), after->tuples());
-}
-
-TEST(RewriteTest, EstimateCardinality) {
-  Database db = MakeDb();
-  EXPECT_EQ(EstimateCardinality(AlgebraExpr::Relation("R1", 1), db, 4), 2.0);
-  EXPECT_EQ(EstimateCardinality(AlgebraExpr::SigmaL(2), db, 4), 7.0);
-  EXPECT_EQ(EstimateCardinality(AlgebraExpr::SigmaStar(), db, 2), 7.0);
-  AlgebraExpr prod = AlgebraExpr::Product(AlgebraExpr::Relation("R1", 1),
-                                          AlgebraExpr::Relation("R3", 1));
-  EXPECT_EQ(EstimateCardinality(prod, db, 4), 4.0);
+  // Without a planner context the product keeps its written order.
+  only_reorder.cost_planner = nullptr;
+  rewritten = RewriteExpr(prod, db, only_reorder);
+  ASSERT_TRUE(rewritten.ok());
+  EXPECT_EQ(rewritten->kind(), AlgebraExpr::Kind::kProduct);
 }
 
 // --- engine end-to-end -----------------------------------------------------
@@ -455,7 +455,7 @@ TEST(EngineTest, FilterSelectParallelMatchesSerial) {
   parallel_opts.parallel_threshold = 1;
   Engine parallel_engine(parallel_opts);
   EngineOptions serial_opts;
-  serial_opts.enable_parallel = false;
+  serial_opts.num_threads = 1;
   Engine serial_engine(serial_opts);
   Result<StringRelation> p = parallel_engine.Execute(*sel, db, kOpts);
   Result<StringRelation> s = serial_engine.Execute(*sel, db, kOpts);
@@ -516,7 +516,7 @@ TEST(EngineTest, MatchesNaiveEvaluatorOnRandomExpressions) {
     EXPECT_EQ(plain->tuples(), naive->tuples())
         << trial << ": " << expr.ToString();
     // Rewrites must not lose finite evaluability along the way.
-    Result<AlgebraExpr> rewritten = RewriteExpr(expr, db, opts);
+    Result<AlgebraExpr> rewritten = RewriteExpr(expr, db);
     ASSERT_TRUE(rewritten.ok());
     EXPECT_EQ(rewritten->arity(), expr.arity());
     if (expr.IsFinitelyEvaluable()) {
@@ -751,23 +751,22 @@ TEST(PlannerTest, EstimateRowsIsFiniteWithAndWithoutStats) {
       EstimateRows(AlgebraExpr::Relation("Pairs", 2), with_stats), 3.0);
 }
 
-TEST(EngineTest, CostPlannerAgreesWithHeuristicAndNaive) {
+TEST(EngineTest, CostPlannerAgreesWithWrittenOrderAndNaive) {
   Alphabet sigma = Alphabet::Binary();
   FsaPool pool = testgen::MakeFsaPool(sigma);
   RngSource rand(20260807);
-  Engine cost;  // enable_cost_planner defaults on
-  EngineOptions heuristic_options;
-  heuristic_options.enable_cost_planner = false;
-  Engine heuristic(heuristic_options);
+  Engine cost;
+  EngineOptions written_order_options;
+  written_order_options.rewrites.reorder_products = false;
+  Engine written_order(written_order_options);
   EvalOptions opts;
   opts.truncation = 2;
   opts.max_tuples = 20000;
   opts.max_steps = 5'000'000;
-  opts.enable_dfa = false;  // keep the naive oracle on the reference BFS
   for (int trial = 0; trial < 100; ++trial) {
     Database db = testgen::RandomDatabase(rand, sigma);
     if (trial % 2 == 0) {
-      // Skew P so the DP order actually deviates from the heuristic one.
+      // Skew P so the DP order actually deviates from the written one.
       std::vector<Tuple> bulk;
       for (int i = 0; i < 40; ++i) {
         bulk.push_back(testgen::RandomTuple(rand, sigma, 2, 3));
@@ -777,7 +776,7 @@ TEST(EngineTest, CostPlannerAgreesWithHeuristicAndNaive) {
     AlgebraExpr expr = testgen::RandomAlgebraExpr(rand, pool, 4);
     Result<StringRelation> naive = EvalAlgebra(expr, db, opts);
     Result<StringRelation> costed = cost.Execute(expr, db, opts);
-    Result<StringRelation> plain = heuristic.Execute(expr, db, opts);
+    Result<StringRelation> plain = written_order.Execute(expr, db, opts);
     if (!naive.ok()) {
       EXPECT_FALSE(costed.ok()) << trial << ": " << expr.ToString();
       EXPECT_FALSE(plain.ok()) << trial << ": " << expr.ToString();

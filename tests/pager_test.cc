@@ -20,10 +20,14 @@
 #include "calculus/query.h"
 #include "core/io/env.h"
 #include "core/io/fault_env.h"
+#include "engine/engine.h"
+#include "fsa/compile.h"
+#include "relational/algebra.h"
 #include "relational/relation.h"
 #include "storage/heap.h"
 #include "storage/pager.h"
 #include "storage/store.h"
+#include "strform/parser.h"
 
 namespace strdb {
 namespace {
@@ -529,6 +533,70 @@ TEST(StoreSpillTest, CheckpointSpillsBigRelationsAndQueriesStillAgree) {
   from_pages = q->Execute(*snap, engine_opts);
   ASSERT_TRUE(from_pages.ok()) << from_pages.status();
   EXPECT_EQ(*from_pages, *from_memory);
+}
+
+// The engine's one σ_A filter serves a spilled relation batch by batch
+// and its in-memory copy in a single call: same tuples, same input
+// count, same acceptance steps.
+TEST(StoreSpillTest, SpilledFilterMatchesInMemoryFilter) {
+  Alphabet sigma = Alphabet::Binary();
+  std::string dir = FreshDir("spill_filter");
+  std::vector<Tuple> pairs;
+  for (int64_t i = 0; i < 3000; ++i) {
+    std::string x = BitString(i, 12);
+    pairs.push_back({x, i % 3 == 0 ? x : BitString(i * 7 + 1, 12)});
+  }
+  Database memory(sigma);
+  ASSERT_TRUE(memory.Put("P", 2, pairs).ok());
+
+  StoreOptions options;
+  options.spill_threshold_bytes = 1;  // spill everything non-empty
+  auto store = CatalogStore::Open(dir, sigma, options);
+  ASSERT_TRUE(store.ok()) << store.status();
+  ASSERT_TRUE((*store)->PutRelation("P", 2, pairs).ok());
+  ASSERT_TRUE((*store)->Checkpoint().ok());
+  std::shared_ptr<const Database> snap;
+  std::shared_ptr<const PagedSet> paged;
+  (*store)->SnapshotState(&snap, &paged);
+  ASSERT_EQ(paged->count("P"), 1u);
+
+  Result<StringFormula> f =
+      ParseStringFormula("([x,y]l(x = y))* . [x,y]l(x = y = ~)");
+  ASSERT_TRUE(f.ok()) << f.status();
+  Result<Fsa> eq = CompileStringFormula(*f, sigma);
+  ASSERT_TRUE(eq.ok()) << eq.status();
+  Result<AlgebraExpr> sel =
+      AlgebraExpr::Select(AlgebraExpr::Relation("P", 2), *std::move(eq));
+  ASSERT_TRUE(sel.ok()) << sel.status();
+  EvalOptions memory_options;
+  memory_options.truncation = 12;
+  EvalOptions paged_options = memory_options;
+  paged_options.paged = paged.get();
+
+  Engine engine;
+  ExecStats from_memory, from_pages;
+  Result<StringRelation> a =
+      engine.Execute(*sel, memory, memory_options, &from_memory);
+  Result<StringRelation> b =
+      engine.Execute(*sel, *snap, paged_options, &from_pages);
+  ASSERT_TRUE(a.ok()) << a.status();
+  ASSERT_TRUE(b.ok()) << b.status();
+  EXPECT_EQ(*a, *b);
+  EXPECT_EQ(a->size(), 1000);
+  EXPECT_NE(from_pages.plan.find("paged-scan"), std::string::npos)
+      << from_pages.plan;
+  EXPECT_GT(from_memory.fsa_steps, 0);
+  EXPECT_EQ(from_pages.fsa_steps, from_memory.fsa_steps);
+  // The filter line's "[in=… out=… fsa_steps=…" counters.
+  auto counters = [](const std::string& plan) {
+    size_t begin = plan.find("[in=", plan.find("filter-select"));
+    size_t end = plan.find(" cache=", begin);
+    return begin == std::string::npos ? plan : plan.substr(begin, end - begin);
+  };
+  EXPECT_EQ(counters(from_pages.plan), counters(from_memory.plan));
+  EXPECT_EQ(counters(from_memory.plan).rfind("[in=3000 out=1000", 0), 0u)
+      << from_memory.plan;
+  ASSERT_TRUE((*store)->Close().ok());
 }
 
 TEST(StoreSpillTest, InsertMaterialisesBackAndDropDiscards) {
