@@ -1,6 +1,7 @@
 #ifndef STRDB_CALCULUS_QUERY_H_
 #define STRDB_CALCULUS_QUERY_H_
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -72,20 +73,47 @@ class Query {
   // (ascending order is imposed, as in the paper).  The head may be
   // omitted ("<formula>" alone), in which case the outputs are the free
   // variables in ascending order.
+  //
+  // Repeated texts skip all of it: a process-wide LRU maps (Σ, exact
+  // text) to the compiled query — formula, outputs, Thm 3.1 automata
+  // inside the Thm 4.2 algebra, and (once computed) the
+  // database-independent half of the §5 inference — and the returned
+  // Query shares that state.  The LRU is bounded at kCacheMaxBytes of
+  // estimated resident bytes.  A miss compiles outside the cache lock
+  // (two threads missing on one text both compile, to equal results);
+  // errors are never cached.
   static Result<Query> Parse(const std::string& text,
                              const Alphabet& alphabet);
 
-  // Wraps an already-built formula.
+  // The uncached builder behind Parse: compiles `text` afresh.
+  static Result<Query> Compile(const std::string& text,
+                               const Alphabet& alphabet);
+
+  // Wraps an already-built formula (uncached).
   static Result<Query> FromFormula(CalcFormula formula,
                                    const Alphabet& alphabet);
 
-  const CalcFormula& formula() const { return formula_; }
-  const std::vector<std::string>& outputs() const { return outputs_; }
-  const AlgebraExpr& plan() const { return plan_; }
+  // The compiled-query cache's byte bound.  Its counters are in the
+  // metrics registry: calculus.query_cache.{hits,misses,evictions} and
+  // the gauge calculus.query_cache.bytes_in_use.
+  static constexpr int64_t kCacheMaxBytes = 1 << 20;
+
+  // The evaluation cap: the largest truncation InferTruncation certifies
+  // (a larger inferred limit is kResourceExhausted) and the largest
+  // explicit `!N` the command grammar accepts.
+  static constexpr int kMaxTruncation = 4096;
+
+  const CalcFormula& formula() const;
+  const std::vector<std::string>& outputs() const;
+  const AlgebraExpr& plan() const;
 
   // The inferred limit W_φ(db), or an error naming the unsafe part.
   // `paged` extends Eq. (2)'s max(R, db) to spilled relations via the
   // max string length recorded in their heap headers — no scan needed.
+  // Two stages: the limitation analysis of the string formulae runs
+  // once per compiled query (on the first call, thread safe); each call
+  // then only looks up the relations and evaluates the stored bounds on
+  // their max(R, db).
   Result<int> InferTruncation(const Database& db,
                               const PagedSet* paged = nullptr) const;
 
@@ -108,15 +136,15 @@ class Query {
                                   const StatsMap* stats = nullptr) const;
 
  private:
-  Query(CalcFormula formula, std::vector<std::string> outputs,
-        AlgebraExpr plan)
-      : formula_(std::move(formula)),
-        outputs_(std::move(outputs)),
-        plan_(std::move(plan)) {}
+  // Everything compiled from one text, immutable once built (defined in
+  // query.cc), and the process-wide cache of them.
+  struct Compiled;
+  class Cache;
 
-  CalcFormula formula_;
-  std::vector<std::string> outputs_;
-  AlgebraExpr plan_;
+  explicit Query(std::shared_ptr<const Compiled> compiled)
+      : compiled_(std::move(compiled)) {}
+
+  std::shared_ptr<const Compiled> compiled_;
 };
 
 }  // namespace strdb

@@ -36,6 +36,8 @@ class Alphabet {
   static Alphabet Dna();     // {a, c, g, t}
 
   int size() const { return static_cast<int>(chars_.size()); }
+  // The characters of Σ in symbol-id order.
+  const std::string& chars() const { return chars_; }
 
   // The character rendered for symbol id `s`; endmarkers render as '<'
   // and '>' (only used in debug output).

@@ -4,43 +4,27 @@
 #include <utility>
 
 #include "core/metrics.h"
-#include "fsa/serialize.h"
 #include "fsa/specialize.h"
 
 namespace strdb {
 
 namespace {
 
-struct CacheMetrics {
-  Counter* hits;
-  Counter* misses;
-  Counter* evictions;
-  Gauge* bytes;
-  Gauge* entries;
-};
-
 // All ArtifactCache instances report into one set of process-wide
 // instruments (there is normally exactly one cache, Engine::Shared()'s).
-const CacheMetrics& Metrics() {
-  static const CacheMetrics metrics = [] {
-    MetricsRegistry& reg = MetricsRegistry::Global();
-    return CacheMetrics{reg.GetCounter("engine.cache.hits"),
+LruInstruments Instruments() {
+  MetricsRegistry& reg = MetricsRegistry::Global();
+  return LruInstruments{reg.GetCounter("engine.cache.hits"),
                         reg.GetCounter("engine.cache.misses"),
                         reg.GetCounter("engine.cache.evictions"),
                         reg.GetGauge("engine.cache.bytes_in_use"),
                         reg.GetGauge("engine.cache.entries")};
-  }();
-  return metrics;
 }
 
 }  // namespace
 
 ArtifactCache::ArtifactCache(int64_t max_bytes)
-    : max_bytes_(max_bytes > 0 ? max_bytes : kDefaultMaxBytes) {}
-
-std::string ArtifactCache::FsaKey(const Fsa& fsa) {
-  return SerializeFsa(fsa);
-}
+    : lru_(max_bytes > 0 ? max_bytes : kDefaultMaxBytes, Instruments()) {}
 
 int64_t ArtifactCache::FsaCost(const Fsa& fsa) {
   // Resident footprint, not serialized size: states (finality bit +
@@ -81,16 +65,12 @@ Result<std::shared_ptr<const Fsa>> ArtifactCache::GetSpecialized(
   key += value;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    auto it = index_.find(key);
-    if (it != index_.end()) {
-      RecordHitLocked();
-      TouchLocked(it->second);
+    if (const Artifact* found = lru_.Find(key)) {
       if (hit != nullptr) *hit = true;
-      std::shared_ptr<const Fsa> found = it->second->fsa;
+      std::shared_ptr<const Fsa> fsa = found->fsa;
       *derived_key = std::move(key);
-      return found;
+      return fsa;
     }
-    RecordMissLocked();
     if (hit != nullptr) *hit = false;
   }
   // Build outside the lock; concurrent misses on the same key compute
@@ -102,7 +82,7 @@ Result<std::shared_ptr<const Fsa>> ArtifactCache::GetSpecialized(
   auto shared = std::make_shared<const Fsa>(std::move(specialized));
   int64_t cost = static_cast<int64_t>(key.size()) + FsaCost(*shared);
   STRDB_RETURN_IF_ERROR(
-      InsertCharged(Entry{key, shared, nullptr, nullptr, cost}, budget));
+      InsertCharged(key, Artifact{shared, nullptr, nullptr}, cost, budget));
   *derived_key = std::move(key);
   return shared;
 }
@@ -110,14 +90,8 @@ Result<std::shared_ptr<const Fsa>> ArtifactCache::GetSpecialized(
 std::shared_ptr<const ArtifactCache::GeneratedSet> ArtifactCache::GetGenerated(
     const std::string& key) {
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = index_.find(key);
-  if (it == index_.end()) {
-    RecordMissLocked();
-    return nullptr;
-  }
-  RecordHitLocked();
-  TouchLocked(it->second);
-  return it->second->generated;
+  const Artifact* found = lru_.Find(key);
+  return found != nullptr ? found->generated : nullptr;
 }
 
 Result<std::shared_ptr<const ArtifactCache::GeneratedSet>>
@@ -126,7 +100,7 @@ ArtifactCache::PutGenerated(const std::string& key, GeneratedSet set,
   auto shared = std::make_shared<const GeneratedSet>(std::move(set));
   int64_t cost = static_cast<int64_t>(key.size()) + GeneratedCost(*shared);
   STRDB_RETURN_IF_ERROR(
-      InsertCharged(Entry{key, nullptr, shared, nullptr, cost}, budget));
+      InsertCharged(key, Artifact{nullptr, shared, nullptr}, cost, budget));
   return shared;
 }
 
@@ -136,14 +110,10 @@ Result<std::shared_ptr<const Acceptor>> ArtifactCache::GetAcceptor(
   std::string key = fsa_key + "\n|acceptor";
   {
     std::lock_guard<std::mutex> lock(mu_);
-    auto it = index_.find(key);
-    if (it != index_.end()) {
-      RecordHitLocked();
-      TouchLocked(it->second);
+    if (const Artifact* found = lru_.Find(key)) {
       *hit = true;
-      return it->second->acceptor;
+      return found->acceptor;
     }
-    RecordMissLocked();
     *hit = false;
   }
   // Compile outside the lock; concurrent misses on the same key compile
@@ -153,7 +123,7 @@ Result<std::shared_ptr<const Acceptor>> ArtifactCache::GetAcceptor(
   // A BFS-tier acceptor keeps its automaton alive.
   if (shared->tier() == Acceptor::Tier::kBfs) cost += FsaCost(*fsa);
   STRDB_RETURN_IF_ERROR(InsertCharged(
-      Entry{std::move(key), nullptr, nullptr, shared, cost}, budget));
+      std::move(key), Artifact{nullptr, nullptr, shared}, cost, budget));
   return shared;
 }
 
@@ -161,103 +131,40 @@ void ArtifactCache::InstallFsa(const std::string& key,
                                std::shared_ptr<const Fsa> fsa) {
   int64_t cost = static_cast<int64_t>(key.size()) + FsaCost(*fsa);
   std::lock_guard<std::mutex> lock(mu_);
-  InsertLocked(Entry{key, std::move(fsa), nullptr, nullptr, cost});
+  lru_.Insert(key, Artifact{std::move(fsa), nullptr, nullptr}, cost);
 }
 
 void ArtifactCache::ForEachFsa(
     const std::function<void(const std::string& key, const Fsa& fsa)>& fn)
     const {
   std::lock_guard<std::mutex> lock(mu_);
-  for (const Entry& entry : lru_) {
-    if (entry.fsa != nullptr) fn(entry.key, *entry.fsa);
-  }
+  lru_.ForEach([&](const std::string& key, const Artifact& artifact) {
+    if (artifact.fsa != nullptr) fn(key, *artifact.fsa);
+  });
 }
 
 ArtifactCache::Stats ArtifactCache::stats() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return stats_;
+  return lru_.stats();
 }
 
 void ArtifactCache::Clear() {
   std::lock_guard<std::mutex> lock(mu_);
-  Metrics().bytes->Add(-stats_.bytes_in_use);
-  Metrics().entries->Add(-stats_.entries);
-  index_.clear();
-  lru_.clear();
-  stats_.bytes_in_use = 0;
-  stats_.entries = 0;
+  lru_.Clear();
 }
 
-void ArtifactCache::TouchLocked(std::list<Entry>::iterator it) {
-  lru_.splice(lru_.begin(), lru_, it);
-}
-
-void ArtifactCache::RecordHitLocked() {
-  ++stats_.hits;
-  Metrics().hits->Increment();
-}
-
-void ArtifactCache::RecordMissLocked() {
-  ++stats_.misses;
-  Metrics().misses->Increment();
-}
-
-Status ArtifactCache::InsertCharged(Entry entry, ResourceBudget* budget) {
-  const int64_t cost = entry.cost;
+Status ArtifactCache::InsertCharged(std::string key, Artifact artifact,
+                                    int64_t cost, ResourceBudget* budget) {
   if (budget != nullptr) {
     STRDB_RETURN_IF_ERROR(budget->ChargeCachedBytes(cost));
   }
   bool inserted;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    inserted = InsertLocked(std::move(entry));
+    inserted = lru_.Insert(std::move(key), std::move(artifact), cost);
   }
   if (!inserted && budget != nullptr) budget->Release(0, 0, cost);
   return Status::OK();
-}
-
-bool ArtifactCache::InsertLocked(Entry entry) {
-  auto existing = index_.find(entry.key);
-  if (existing != index_.end()) {
-    // A concurrent miss on the same key beat us to the insert; keep the
-    // incumbent (equal by construction) and refresh its recency.
-    TouchLocked(existing->second);
-    return false;
-  }
-  if (entry.cost > max_bytes_) {
-    // Too large to ever retain under the bound; hand it back uncached so
-    // the invariant bytes_in_use <= max_bytes holds unconditionally.
-    ++stats_.evictions;
-    Metrics().evictions->Increment();
-    return false;
-  }
-  // Make room first: the bound must hold at all times, not just between
-  // inserts, so evict before the new entry's cost is ever accounted.
-  EvictUntilFitsLocked(entry.cost);
-  stats_.bytes_in_use += entry.cost;
-  if (stats_.bytes_in_use > stats_.peak_bytes) {
-    stats_.peak_bytes = stats_.bytes_in_use;
-  }
-  ++stats_.entries;
-  Metrics().bytes->Add(entry.cost);
-  Metrics().entries->Add(1);
-  lru_.push_front(std::move(entry));
-  index_.emplace(lru_.front().key, lru_.begin());
-  return true;
-}
-
-void ArtifactCache::EvictUntilFitsLocked(int64_t incoming) {
-  while (stats_.bytes_in_use + incoming > max_bytes_ && !lru_.empty()) {
-    Entry& victim = lru_.back();
-    stats_.bytes_in_use -= victim.cost;
-    --stats_.entries;
-    ++stats_.evictions;
-    Metrics().bytes->Add(-victim.cost);
-    Metrics().entries->Add(-1);
-    Metrics().evictions->Increment();
-    index_.erase(victim.key);
-    lru_.pop_back();
-  }
 }
 
 }  // namespace strdb

@@ -3,15 +3,14 @@
 
 #include <cstdint>
 #include <functional>
-#include <list>
 #include <memory>
 #include <mutex>
 #include <set>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "core/budget.h"
+#include "core/lru.h"
 #include "core/result.h"
 #include "fsa/acceptor.h"
 #include "fsa/fsa.h"
@@ -48,14 +47,7 @@ namespace strdb {
 // shell's `metrics` command.
 class ArtifactCache {
  public:
-  struct Stats {
-    int64_t hits = 0;
-    int64_t misses = 0;
-    int64_t evictions = 0;
-    int64_t bytes_in_use = 0;
-    int64_t peak_bytes = 0;
-    int64_t entries = 0;
-  };
+  using Stats = LruStats;
 
   using GeneratedSet = std::set<std::vector<std::string>>;
 
@@ -63,12 +55,7 @@ class ArtifactCache {
 
   explicit ArtifactCache(int64_t max_bytes = kDefaultMaxBytes);
 
-  int64_t max_bytes() const { return max_bytes_; }
-
-  // The structural key of an automaton: its serialized text.  Stable
-  // across processes (fsa/serialize round-trips byte-identically), so
-  // equal machines share one cache line even when compiled separately.
-  static std::string FsaKey(const Fsa& fsa);
+  int64_t max_bytes() const { return lru_.max_bytes(); }
 
   // Estimated resident cost of the artifacts, used for LRU accounting
   // and exposed for tests.
@@ -94,7 +81,9 @@ class ArtifactCache {
       const std::string& key, GeneratedSet set,
       ResourceBudget* budget = nullptr);
 
-  // Returns Acceptor::Compile(fsa), where `fsa_key` is FsaKey(*fsa).  On
+  // Returns Acceptor::Compile(fsa), where `fsa_key` is the automaton's
+  // structural key (KeyedFsa::key(): its serialized text, stable across
+  // processes, so equal machines share one cache line).  On
   // a miss, the freshly compiled artifact's cost is charged to `budget`
   // (when given) before caching.
   Result<std::shared_ptr<const Acceptor>> GetAcceptor(
@@ -119,37 +108,22 @@ class ArtifactCache {
 
  private:
   // One artifact of any kind; exactly one payload pointer is set.
-  struct Entry {
-    std::string key;
+  struct Artifact {
     std::shared_ptr<const Fsa> fsa;
     std::shared_ptr<const GeneratedSet> generated;
     std::shared_ptr<const Acceptor> acceptor;
-    int64_t cost = 0;
   };
 
-  // Charges the entry's cost to `budget` (when given), then inserts it.
+  // Charges `cost` to `budget` (when given), then inserts the artifact.
   // The charge comes first so an exhausted budget never grows the cache,
-  // and is refunded when InsertLocked rejects the entry, so the account
+  // and is refunded when the LRU does not retain the artifact (oversize,
+  // or a concurrent miss on the same key inserted first), so the account
   // only ever holds bytes that are actually resident.
-  Status InsertCharged(Entry entry, ResourceBudget* budget);
+  Status InsertCharged(std::string key, Artifact artifact, int64_t cost,
+                       ResourceBudget* budget);
 
-  // Inserts an already-built entry, evicting from the LRU tail first so
-  // the byte bound is never exceeded even transiently.  Returns false
-  // when the entry was NOT retained — oversize, or a concurrent miss on
-  // the same key already inserted an incumbent.  Caller holds mu_.
-  bool InsertLocked(Entry entry);
-  void EvictUntilFitsLocked(int64_t incoming);
-  void TouchLocked(std::list<Entry>::iterator it);
-  void RecordHitLocked();
-  void RecordMissLocked();
-
-  const int64_t max_bytes_;
   mutable std::mutex mu_;
-  Stats stats_;
-  // Front = most recently used.  The index owns nothing; entries live in
-  // the list so iterators stay stable across splices.
-  std::list<Entry> lru_;
-  std::unordered_map<std::string, std::list<Entry>::iterator> index_;
+  ByteLru<Artifact> lru_;
 };
 
 }  // namespace strdb

@@ -148,7 +148,12 @@ std::vector<ColumnDist> EstimateColumnDists(const AlgebraExpr& expr,
   return std::vector<ColumnDist>(static_cast<size_t>(expr.arity()));
 }
 
-double EstimateRows(const AlgebraExpr& expr, const CostPlannerContext& ctx) {
+double EstimateRows(const AlgebraExpr& expr, const CostPlannerContext& ctx,
+                    RowEstimateMemo* memo) {
+  if (memo != nullptr) {
+    auto it = memo->find(expr.node_identity());
+    if (it != memo->end()) return it->second;
+  }
   double rows = 0;
   switch (expr.kind()) {
     case Kind::kRelation: {
@@ -171,36 +176,38 @@ double EstimateRows(const AlgebraExpr& expr, const CostPlannerContext& ctx) {
       rows = DomainCount(ctx, std::min(expr.sigma_l(), ctx.truncation));
       break;
     case Kind::kUnion:
-      rows = EstimateRows(expr.Left(), ctx) + EstimateRows(expr.Right(), ctx);
+      rows = EstimateRows(expr.Left(), ctx, memo) +
+             EstimateRows(expr.Right(), ctx, memo);
       break;
     case Kind::kDifference:
-      rows = EstimateRows(expr.Left(), ctx);
+      rows = EstimateRows(expr.Left(), ctx, memo);
       break;
     case Kind::kProduct:
-      rows = EstimateRows(expr.Left(), ctx) * EstimateRows(expr.Right(), ctx);
+      rows = EstimateRows(expr.Left(), ctx, memo) *
+             EstimateRows(expr.Right(), ctx, memo);
       break;
     case Kind::kProject:
     case Kind::kRestrict:
-      rows = EstimateRows(expr.Left(), ctx);
+      rows = EstimateRows(expr.Left(), ctx, memo);
       break;
     case Kind::kSelect: {
-      const double child = EstimateRows(expr.Left(), ctx);
-      const std::string key = ArtifactCache::FsaKey(expr.fsa());
+      const double child = EstimateRows(expr.Left(), ctx, memo);
       const double sel = EstimateSelectivity(
-          expr.fsa(), key, EstimateColumnDists(expr.Left(), ctx), ctx);
+          *expr.keyed_fsa(), EstimateColumnDists(expr.Left(), ctx), ctx);
       rows = child * sel;
       break;
     }
   }
   if (!std::isfinite(rows) || rows < 0) rows = 0;
-  return std::min(rows, kRowCap);
+  rows = std::min(rows, kRowCap);
+  if (memo != nullptr) memo->emplace(expr.node_identity(), rows);
+  return rows;
 }
 
-double EstimateSelectivity(const Fsa& fsa, const std::string& fsa_key,
+double EstimateSelectivity(const KeyedFsa& fsa,
                            const std::vector<ColumnDist>& dists,
                            const CostPlannerContext& ctx) {
-  const std::string key =
-      (fsa_key.empty() ? ArtifactCache::FsaKey(fsa) : fsa_key);
+  const std::string& key = fsa.key();
   const std::string memo_key = key + DistSignature(dists);
   double model = 0.25;
   bool have_model = false;
@@ -209,7 +216,7 @@ double EstimateSelectivity(const Fsa& fsa, const std::string& fsa_key,
     have_model = true;
   }
   if (!have_model) {
-    Result<Dfa> dfa = BuildDfa(fsa);
+    Result<Dfa> dfa = BuildDfa(fsa.fsa());
     if (dfa.ok()) {
       DensityOptions opts;
       for (const ColumnDist& d : dists) {

@@ -2,9 +2,9 @@
 #define STRDB_ENGINE_COST_H_
 
 #include <string>
+#include <unordered_map>
 #include <vector>
 
-#include "engine/cache.h"
 #include "engine/stats.h"
 #include "relational/algebra.h"
 #include "relational/relation.h"
@@ -51,17 +51,24 @@ struct ColumnDist {
 std::vector<ColumnDist> EstimateColumnDists(const AlgebraExpr& expr,
                                             const CostPlannerContext& ctx);
 
+// EstimateRows results by expression node, for a caller that estimates
+// every node of one expression (lowering a plan): each node is then
+// estimated once, not once per ancestor.  Keyed by node identity, so the
+// expression must outlive the memo.
+using RowEstimateMemo = std::unordered_map<const AlgebraExpr::Node*, double>;
+
 // Statistics-backed cardinality estimate for db(E↓l).  Always finite
 // and non-negative.  A relation leaf reads its statistics, else its
 // paged source's tuple count, else estimates 0 rows; Σ*/Σ^l leaves count
 // Σ^{<=l} exactly.
-double EstimateRows(const AlgebraExpr& expr, const CostPlannerContext& ctx);
+double EstimateRows(const AlgebraExpr& expr, const CostPlannerContext& ctx,
+                    RowEstimateMemo* memo = nullptr);
 
 // σ_A selectivity in [0, 1]: the DFA acceptance density under the
-// column model, blended with the adaptive feedback for `fsa_key` when
-// any exists.  Machines outside the DFA tier (or past its caps) fall
-// back to the flat 0.25 guess before blending.
-double EstimateSelectivity(const Fsa& fsa, const std::string& fsa_key,
+// column model, blended with the adaptive feedback for the automaton's
+// key when any exists.  Machines outside the DFA tier (or past its caps)
+// fall back to the flat 0.25 guess before blending.
+double EstimateSelectivity(const KeyedFsa& fsa,
                            const std::vector<ColumnDist>& dists,
                            const CostPlannerContext& ctx);
 

@@ -42,7 +42,7 @@ class Planner {
     auto it = memo_.find(e.node_identity());
     if (it != memo_.end()) return it->second;
     STRDB_ASSIGN_OR_RETURN(std::shared_ptr<PlanNode> node, LowerNew(e));
-    node->est_rows = EstimateRows(e, cost_ctx_);
+    node->est_rows = EstimateRows(e, cost_ctx_, &estimates_);
     memo_.emplace(e.node_identity(), node);
     return node;
   }
@@ -113,8 +113,8 @@ class Planner {
 
   Result<std::shared_ptr<PlanNode>> LowerSelect(const AlgebraExpr& e,
                                                 std::shared_ptr<PlanNode> node) {
+    node->keyed_fsa = e.keyed_fsa();
     node->fsa = e.shared_fsa();
-    node->fsa_key = ArtifactCache::FsaKey(*node->fsa);
     std::vector<AlgebraExpr> factors;
     FlattenProduct(e.Left(), &factors);
     bool has_star = false;
@@ -151,6 +151,9 @@ class Planner {
   const CostPlannerContext& cost_ctx_;
   std::unordered_map<const AlgebraExpr::Node*, std::shared_ptr<PlanNode>>
       memo_;
+  // Each node's estimate, computed once per plan (a node's estimate
+  // recurses into its subtree, which is lowered first).
+  RowEstimateMemo estimates_;
 };
 
 // Runs a plan DAG.  Holds one result per PlanNode (evaluate-once for
@@ -189,6 +192,12 @@ class Executor {
     return &inserted.first->second;
   }
 
+  // Moves the evaluated root's result out of the memo.  The root is
+  // never a shared subtree, so nothing reads its entry afterwards.
+  StringRelation TakeRoot(const PlanNode* root) {
+    return std::move(memo_.at(root));
+  }
+
  private:
   Result<StringRelation> CheckSize(StringRelation rel) const {
     if (rel.size() > options_.max_tuples) {
@@ -221,14 +230,11 @@ class Executor {
         STRDB_ASSIGN_OR_RETURN(StringRelation out, node->source->Materialize());
         return CheckSize(std::move(out));
       }
-      case Op::kDomain: {
-        int l = node->sigma_l < 0 ? options_.truncation : node->sigma_l;
-        StringRelation out(1);
-        for (std::string& s : db_.alphabet().StringsUpTo(l)) {
-          STRDB_RETURN_IF_ERROR(out.Insert({std::move(s)}));
-        }
-        return CheckSize(std::move(out));
-      }
+      case Op::kDomain:
+        return DomainRelation(
+            db_.alphabet(),
+            node->sigma_l < 0 ? options_.truncation : node->sigma_l,
+            options_);
       case Op::kUnion: {
         STRDB_ASSIGN_OR_RETURN(const StringRelation* a,
                                Eval(node->children[0].get()));
@@ -314,7 +320,7 @@ class Executor {
     bool hit = false;
     if (cache_ != nullptr) {
       STRDB_ASSIGN_OR_RETURN(acceptor,
-                             cache_->GetAcceptor(node->fsa_key, node->fsa,
+                             cache_->GetAcceptor(node->fsa_key(), node->fsa,
                                                  &hit, options_.budget));
       ++(hit ? node->stats.cache_hits : node->stats.cache_misses);
     } else {
@@ -468,7 +474,7 @@ class Executor {
     std::shared_ptr<const ArtifactCache::GeneratedSet> cached;
     const ArtifactCache::GeneratedSet* generated = nullptr;
     if (cache_ != nullptr) {
-      std::string key = node->fsa_key;
+      std::string key = node->fsa_key();
       std::shared_ptr<const Fsa> machine = node->fsa;
       int already_fixed = 0;
       for (size_t col = 0; col < fixed.size(); ++col) {
@@ -546,7 +552,7 @@ void RecordSelectivities(const PlanNode& node,
                          SelectivityFeedback* feedback) {
   if (!seen->insert(&node).second) return;
   if (node.op == Op::kFilterSelect && node.stats.tuples_in > 0) {
-    feedback->Record(node.fsa_key,
+    feedback->Record(node.fsa_key(),
                      static_cast<double>(node.stats.tuples_out) /
                          static_cast<double>(node.stats.tuples_in));
   }
@@ -647,7 +653,7 @@ Result<StringRelation> Engine::Execute(const AlgebraExpr& expr,
     }
     return result.status();
   }
-  StringRelation out = **result;
+  StringRelation out = executor.TakeRoot(root.get());
   metrics.rows->Record(out.size());
   if (stats != nullptr) {
     FillStats(*root, options, wall_ns, out.size(), stats);

@@ -51,8 +51,11 @@ struct PlanNode {
   std::shared_ptr<const TupleSource> source;
   int sigma_l = -1;                // kDomain
   std::vector<int> columns;        // kProject
-  std::shared_ptr<const Fsa> fsa;  // the two select ops
-  std::string fsa_key;             // structural cache key of `fsa`
+  // The two select ops: the σ node's automaton handle, and its machine.
+  std::shared_ptr<const KeyedFsa> keyed_fsa;
+  std::shared_ptr<const Fsa> fsa;
+  // Structural cache key of `fsa`, carried from the algebra.
+  const std::string& fsa_key() const { return keyed_fsa->key(); }
 
   // kGenerateSelect: children are the materialised factors, in column
   // order; factor_offsets[i] is the first output column of children[i];

@@ -172,7 +172,7 @@ Result<AlgebraExpr> CostBasedReorder(const AlgebraExpr& e,
       if (rebuilt.size() < 2 ||
           e.fsa().num_tapes() != e.Left().arity()) {
         return AlgebraExpr::Select(BuildProduct(std::move(rebuilt)),
-                                   Fsa(e.fsa()));
+                                   e.keyed_fsa());
       }
       std::vector<double> rows;
       rows.reserve(rebuilt.size());
@@ -182,7 +182,7 @@ Result<AlgebraExpr> CostBasedReorder(const AlgebraExpr& e,
       const std::vector<int> order = DpOrderFactors(rows, ctx.model);
       if (IsIdentity(order)) {
         return AlgebraExpr::Select(BuildProduct(std::move(rebuilt)),
-                                   Fsa(e.fsa()));
+                                   e.keyed_fsa());
       }
       // Tape i of the permuted machine reads the factor placed at rank
       // i's old columns — the per-column expansion of `order`.

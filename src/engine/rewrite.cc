@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "engine/planner.h"
-#include "fsa/serialize.h"
 #include "fsa/specialize.h"
 
 namespace strdb {
@@ -101,10 +100,12 @@ Result<AlgebraExpr> PushdownSelect(const AlgebraExpr& select,
                                    AlgebraExpr child) {
   const Fsa& fsa = select.fsa();
   if (child.kind() == Kind::kUnion) {
-    STRDB_ASSIGN_OR_RETURN(AlgebraExpr left,
-                           AlgebraExpr::Select(child.Left(), Fsa(fsa)));
-    STRDB_ASSIGN_OR_RETURN(AlgebraExpr right,
-                           AlgebraExpr::Select(child.Right(), Fsa(fsa)));
+    STRDB_ASSIGN_OR_RETURN(
+        AlgebraExpr left,
+        AlgebraExpr::Select(child.Left(), select.keyed_fsa()));
+    STRDB_ASSIGN_OR_RETURN(
+        AlgebraExpr right,
+        AlgebraExpr::Select(child.Right(), select.keyed_fsa()));
     STRDB_ASSIGN_OR_RETURN(left, PushdownSelections(left));
     STRDB_ASSIGN_OR_RETURN(right, PushdownSelections(right));
     return AlgebraExpr::Union(std::move(left), std::move(right));
@@ -128,7 +129,7 @@ Result<AlgebraExpr> PushdownSelect(const AlgebraExpr& select,
     }
     if (kept == 0) pulled[0] = false;  // keep the automaton ≥ 1 tape
     if (std::find(pulled.begin(), pulled.end(), true) == pulled.end()) {
-      return AlgebraExpr::Select(std::move(child), Fsa(fsa));
+      return AlgebraExpr::Select(std::move(child), select.keyed_fsa());
     }
     std::vector<bool> drop;
     for (size_t i = 0; i < factors.size(); ++i) {
@@ -137,7 +138,7 @@ Result<AlgebraExpr> PushdownSelect(const AlgebraExpr& select,
     STRDB_ASSIGN_OR_RETURN(Fsa reduced, DropTapes(fsa, drop));
     return RebuildSplitSelect(factors, pulled, std::move(reduced));
   }
-  return AlgebraExpr::Select(std::move(child), Fsa(fsa));
+  return AlgebraExpr::Select(std::move(child), select.keyed_fsa());
 }
 
 Result<AlgebraExpr> PushdownSelections(const AlgebraExpr& e) {
@@ -239,13 +240,13 @@ Result<AlgebraExpr> SpecializeConstants(const AlgebraExpr& e,
     offset += factors[i].arity();
   }
   if (num_constant == 0 || num_constant == factors.size()) {
-    return AlgebraExpr::Select(std::move(child), Fsa(e.fsa()));
+    return AlgebraExpr::Select(std::move(child), e.keyed_fsa());
   }
   Result<Fsa> specialized = Specialize(e.fsa(), fixed);
   if (!specialized.ok()) {
     // The lemma construction tripping a budget is not an error of the
     // query: keep the unspecialised form.
-    return AlgebraExpr::Select(std::move(child), Fsa(e.fsa()));
+    return AlgebraExpr::Select(std::move(child), e.keyed_fsa());
   }
   return RebuildSplitSelect(factors, constant, *std::move(specialized));
 }
@@ -296,8 +297,7 @@ class HashCons {
       }
       case Kind::kSelect: {
         STRDB_ASSIGN_OR_RETURN(int c, Id(e.Left()));
-        key = "s/" + std::to_string(c) + "/" +
-              std::to_string(FsaId(e.shared_fsa()));
+        key = "s/" + std::to_string(c) + "/" + std::to_string(FsaId(e));
         break;
       }
     }
@@ -315,13 +315,15 @@ class HashCons {
     return ids_.at(canonical.node_identity());
   }
 
-  int FsaId(const std::shared_ptr<const Fsa>& fsa) {
-    auto it = fsa_ids_.find(fsa.get());
+  // Structurally equal automata share an id: handles first, then their
+  // carried keys.
+  int FsaId(const AlgebraExpr& select) {
+    const KeyedFsa* handle = select.keyed_fsa().get();
+    auto it = fsa_ids_.find(handle);
     if (it != fsa_ids_.end()) return it->second;
-    std::string text = SerializeFsa(*fsa);
-    auto [tit, inserted] =
-        fsa_text_ids_.emplace(std::move(text), static_cast<int>(fsa_text_ids_.size()));
-    fsa_ids_.emplace(fsa.get(), tit->second);
+    auto [tit, inserted] = fsa_text_ids_.emplace(
+        select.keyed_fsa()->key(), static_cast<int>(fsa_text_ids_.size()));
+    fsa_ids_.emplace(handle, tit->second);
     return tit->second;
   }
 
@@ -358,7 +360,7 @@ class HashCons {
       }
       case Kind::kSelect: {
         STRDB_ASSIGN_OR_RETURN(AlgebraExpr c, Canonical(e.Left()));
-        return AlgebraExpr::Select(std::move(c), Fsa(e.fsa()));
+        return AlgebraExpr::Select(std::move(c), e.keyed_fsa());
       }
     }
     return Status::Internal("unknown algebra node kind");
@@ -366,7 +368,7 @@ class HashCons {
 
   std::map<std::string, AlgebraExpr> pool_;
   std::map<const AlgebraExpr::Node*, int> ids_;
-  std::map<const Fsa*, int> fsa_ids_;
+  std::map<const KeyedFsa*, int> fsa_ids_;
   std::map<std::string, int> fsa_text_ids_;
 };
 

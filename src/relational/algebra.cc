@@ -5,6 +5,7 @@
 
 #include "fsa/accept.h"
 #include "fsa/generate.h"
+#include "fsa/serialize.h"
 
 namespace strdb {
 
@@ -16,8 +17,13 @@ struct AlgebraExpr::Node {
   std::optional<AlgebraExpr> left;      // binary ops, kProject, kSelect
   std::optional<AlgebraExpr> right;     // binary ops
   std::vector<int> columns;             // kProject
-  std::shared_ptr<const Fsa> fsa;       // kSelect
+  std::shared_ptr<const KeyedFsa> fsa;  // kSelect
 };
+
+const std::string& KeyedFsa::key() const {
+  std::call_once(key_once_, [this] { key_ = SerializeFsa(fsa_); });
+  return key_;
+}
 
 AlgebraExpr AlgebraExpr::Relation(std::string name, int arity) {
   auto node = std::make_shared<Node>();
@@ -102,7 +108,13 @@ Result<AlgebraExpr> AlgebraExpr::Project(AlgebraExpr child,
 }
 
 Result<AlgebraExpr> AlgebraExpr::Select(AlgebraExpr child, Fsa fsa) {
-  if (fsa.num_tapes() != child.arity()) {
+  return Select(std::move(child),
+                std::make_shared<const KeyedFsa>(std::move(fsa)));
+}
+
+Result<AlgebraExpr> AlgebraExpr::Select(AlgebraExpr child,
+                                        std::shared_ptr<const KeyedFsa> fsa) {
+  if (fsa->fsa().num_tapes() != child.arity()) {
     return Status::InvalidArgument(
         "selection automaton tape count differs from expression arity");
   }
@@ -110,7 +122,7 @@ Result<AlgebraExpr> AlgebraExpr::Select(AlgebraExpr child, Fsa fsa) {
   node->kind = Kind::kSelect;
   node->arity = child.arity();
   node->left = std::move(child);
-  node->fsa = std::make_shared<const Fsa>(std::move(fsa));
+  node->fsa = std::move(fsa);
   return AlgebraExpr(std::move(node));
 }
 
@@ -135,8 +147,11 @@ const AlgebraExpr& AlgebraExpr::Right() const {
   return *node_->right;
 }
 const std::vector<int>& AlgebraExpr::columns() const { return node_->columns; }
-const Fsa& AlgebraExpr::fsa() const { return *node_->fsa; }
+const Fsa& AlgebraExpr::fsa() const { return node_->fsa->fsa(); }
 std::shared_ptr<const Fsa> AlgebraExpr::shared_fsa() const {
+  return std::shared_ptr<const Fsa>(node_->fsa, &node_->fsa->fsa());
+}
+const std::shared_ptr<const KeyedFsa>& AlgebraExpr::keyed_fsa() const {
   return node_->fsa;
 }
 
@@ -215,6 +230,45 @@ std::string AlgebraExpr::ToString() const {
       return "restrict(" + Left().ToString() + ")";
   }
   return "?";
+}
+
+Result<StringRelation> DomainRelation(const Alphabet& sigma, int l,
+                                      const EvalOptions& options) {
+  const std::string& chars = sigma.chars();
+  double count = 0;
+  double level = 1;  // |Σ|^i
+  for (int i = 0; i <= l; ++i) {
+    count += level;
+    if (count > static_cast<double>(options.max_tuples)) {
+      return Status::ResourceExhausted("intermediate relation exceeds " +
+                                       std::to_string(options.max_tuples) +
+                                       " tuples");
+    }
+    level *= static_cast<double>(chars.size());
+  }
+  constexpr int64_t kDeadlineStride = 4096;
+  StringRelation out(1);
+  int64_t built = 0;
+  for (int n = 0; n <= l; ++n) {
+    // An odometer over symbol ids, the last position turning fastest.
+    const size_t len = static_cast<size_t>(n);
+    std::vector<size_t> digits(len, 0);
+    std::string s(len, chars[0]);
+    for (;;) {
+      STRDB_RETURN_IF_ERROR(out.Insert({s}));
+      if (++built % kDeadlineStride == 0 && options.budget != nullptr) {
+        STRDB_RETURN_IF_ERROR(options.budget->CheckDeadline());
+      }
+      size_t i = len;
+      for (; i > 0 && digits[i - 1] + 1 == chars.size(); --i) {
+        digits[i - 1] = 0;
+        s[i - 1] = chars[0];
+      }
+      if (i == 0) break;
+      s[i - 1] = chars[++digits[i - 1]];
+    }
+  }
+  return out;
 }
 
 namespace {
@@ -336,11 +390,7 @@ class AlgebraEvaluatorImpl {
   }
 
   Result<StringRelation> Domain(int l) const {
-    StringRelation out(1);
-    for (std::string& s : db_.alphabet().StringsUpTo(l)) {
-      STRDB_RETURN_IF_ERROR(out.Insert({std::move(s)}));
-    }
-    return CheckSize(std::move(out));
+    return DomainRelation(db_.alphabet(), l, options_);
   }
 
   Result<StringRelation> EvalSelect(const AlgebraExpr& e) {

@@ -2,6 +2,7 @@
 #define STRDB_RELATIONAL_ALGEBRA_H_
 
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -13,6 +14,28 @@
 #include "relational/tuple_source.h"
 
 namespace strdb {
+
+// A selection automaton together with its structural key: the
+// SerializeFsa text that the engine's artifact cache, its selectivity
+// memo and feedback, and the CSE rewrite key on (stable across
+// processes, so persisted automata warm the artifact cache at open).
+// Immutable and shared: every σ node built from one handle — a rewrite
+// that keeps the automaton, a cached query's algebra planned again —
+// shares the machine, and the key is serialised at most once, on the
+// first key() call.
+class KeyedFsa {
+ public:
+  explicit KeyedFsa(Fsa fsa) : fsa_(std::move(fsa)) {}
+
+  const Fsa& fsa() const { return fsa_; }
+  // Thread safe.
+  const std::string& key() const;
+
+ private:
+  const Fsa fsa_;
+  mutable std::once_flag key_once_;
+  mutable std::string key_;
+};
 
 // Alignment algebra (paper §4): relational algebra over string relations
 // whose selection operator is a k-FSA, plus the domain symbols Σ* and
@@ -47,6 +70,10 @@ class AlgebraExpr {
   static Result<AlgebraExpr> Project(AlgebraExpr child,
                                      std::vector<int> columns);
   static Result<AlgebraExpr> Select(AlgebraExpr child, Fsa fsa);
+  // σ over `child` with an existing automaton handle, shared as is: the
+  // form rewrites use when they keep a selection's machine.
+  static Result<AlgebraExpr> Select(AlgebraExpr child,
+                                    std::shared_ptr<const KeyedFsa> fsa);
   // E ∩ (Σ*)^arity, evaluated at ↓l as a length-<=l filter.
   static AlgebraExpr RestrictToDomain(AlgebraExpr child);
 
@@ -60,9 +87,10 @@ class AlgebraExpr {
   const AlgebraExpr& Right() const;
   const std::vector<int>& columns() const;
   const Fsa& fsa() const;
-  // The selection automaton, shared with every copy of this expression
-  // (used by the engine's artifact cache to key compiled artifacts).
+  // The selection automaton, shared with every copy of this expression.
   std::shared_ptr<const Fsa> shared_fsa() const;
+  // The automaton's handle, which carries its structural key.
+  const std::shared_ptr<const KeyedFsa>& keyed_fsa() const;
 
   // True iff the expression is *finitely evaluable* in the paper's
   // syntactic sense: every Σ* occurs inside a subexpression
@@ -123,6 +151,14 @@ void FlattenProduct(const AlgebraExpr& expr, std::vector<AlgebraExpr>* out);
 // The left-associated product of a non-empty factor list (the inverse of
 // FlattenProduct up to association).
 AlgebraExpr BuildProduct(std::vector<AlgebraExpr> factors);
+
+// Σ^{<=l} as a unary relation.  Its size Σ_{i<=l} |Σ|^i is computed
+// first, and a domain over options.max_tuples strings is refused with
+// kResourceExhausted before anything is built; the enumeration checks
+// the budget's deadline as it goes.  Both evaluators read Σ*/Σ^l leaves
+// through it.
+Result<StringRelation> DomainRelation(const Alphabet& sigma, int l,
+                                      const EvalOptions& options);
 
 // Evaluates db(E↓l).  Selections over products containing Σ* factors are
 // evaluated with the FSA *generator* (the generalized-Mealy reading of

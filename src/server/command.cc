@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <utility>
 
@@ -59,6 +60,19 @@ std::vector<Tuple> ParseTuples(const std::vector<std::string>& words,
     tuples.push_back(std::move(tuple));
   }
   return tuples;
+}
+
+// The N of a "!N QUERY" prefix: a decimal in [0, Query::kMaxTruncation],
+// the cap InferTruncation enforces; anything else is nullopt.
+std::optional<int> ParseTruncation(const std::string& digits) {
+  if (digits.empty()) return std::nullopt;
+  int n = 0;
+  for (char c : digits) {
+    if (c < '0' || c > '9') return std::nullopt;
+    n = n * 10 + (c - '0');
+    if (n > Query::kMaxTruncation) return std::nullopt;
+  }
+  return n;
 }
 
 void AppendLimits(const ResourceLimits& limits, std::string* out) {
@@ -221,10 +235,11 @@ Status CommandProcessor::HandleQuery(const std::string& text,
   std::string body = text;
   if (!body.empty() && body[0] == '!') {
     size_t sp = body.find(' ');
-    if (sp == std::string::npos) {
-      return Status::InvalidArgument("usage: !N QUERY");
-    }
-    explicit_trunc = std::atoi(body.substr(1, sp - 1).c_str());
+    std::optional<int> n = sp == std::string::npos
+                               ? std::nullopt
+                               : ParseTruncation(body.substr(1, sp - 1));
+    if (!n.has_value()) return Status::InvalidArgument("usage: !N QUERY");
+    explicit_trunc = *n;
     body = body.substr(sp + 1);
   }
   // One snapshot for the whole command: parse, truncation inference and

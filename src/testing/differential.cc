@@ -182,6 +182,7 @@ const std::vector<const DiffTarget*>& AllTargets() {
     v->push_back(new PagerDiffTarget());
     v->push_back(new PlannerDiffTarget());
     v->push_back(new ServerDiffTarget());
+    v->push_back(new QueryCacheDiffTarget());
     return v;
   }();
   return *targets;

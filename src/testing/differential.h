@@ -123,8 +123,8 @@ Result<Reproducer> ParseReproducer(const std::string& file_text);
 // reproduces, else 0.
 Result<ConformanceReport> ReplayReproducer(const std::string& file_text);
 
-// The built-in target registry (kernel, engine, roundtrip, storage,
-// pager, server).
+// The built-in target registry (kernel, dfa, engine, roundtrip,
+// storage, pager, planner, server, query_cache).
 // Pointers are to process-lifetime singletons.
 const std::vector<const DiffTarget*>& AllTargets();
 // nullptr when no target has that name.

@@ -355,6 +355,47 @@ class PlannerDiffTarget : public DiffTarget {
   mutable Engine written_order_engine_;
 };
 
+// --- compiled-query cache vs fresh compilation ----------------------------
+//
+// Case: a pool of 2-4 query texts (relational atoms, random string
+// formulae, guarded negation, and shapes outside the §5 class) and a
+// sequence of ops over one catalog: queries of pool texts interleaved
+// with random insert/rel/drop mutations, so a text recurs after its
+// relations grew, shrank, vanished or got a new stats epoch.  Oracle:
+// each query through Query::Parse — served by the process-wide
+// compiled-query cache, so compiled under an earlier catalog (or an
+// earlier case) and reused — and run on the engine must equal the same
+// text compiled afresh by Query::Compile and run on the naive evaluator:
+// the same parse verdict, exactly the same InferTruncation Result, and
+// the same answer bytes (at the inferred limit, or at an explicit
+// truncation).  Answers exhausting the case's resource budget on either
+// side are not compared.
+class QueryCacheDiffTarget : public DiffTarget {
+ public:
+  struct Op {
+    enum class Kind : uint8_t { kQuery, kInsert, kRel, kDrop };
+    Kind kind = Kind::kQuery;
+    int text = 0;         // kQuery: index into the case's texts
+    int truncation = -1;  // kQuery: -1 = inferred, else explicit
+    std::string name;     // mutations
+    int arity = 1;
+    std::vector<Tuple> tuples;
+  };
+
+  struct QueryCacheCase : Case {
+    std::vector<std::string> texts;
+    std::vector<Op> ops;
+  };
+
+  std::string name() const override { return "query_cache"; }
+  CasePtr Generate(RandomSource& rand) const override;
+  std::optional<Divergence> Run(const Case& c) const override;
+  std::string Serialize(const Case& c) const override;
+  Result<CasePtr> Deserialize(const std::string& text) const override;
+  std::vector<CasePtr> ShrinkCandidates(const Case& c) const override;
+  int64_t CaseSize(const Case& c) const override;
+};
+
 // --- concurrent server vs serial replay ------------------------------------
 //
 // Case: N >= 2 sessions' command logs (the server grammar), hammered at

@@ -6,6 +6,7 @@
 // shell's historical printf outputs, byte for byte.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <string>
 #include <vector>
 
@@ -151,6 +152,49 @@ TEST(CommandTest, QueriesSeeTheCatalogSnapshot) {
   out.clear();
   ASSERT_TRUE(reader.Execute("x | R(x)", &out).ok());
   EXPECT_EQ(out, "{(\"ba\"), (\"bb\")}   (2 tuples)\n");
+}
+
+// "!N QUERY" takes only a decimal N in [0, Query::kMaxTruncation]: a
+// non-number used to run at truncation 0, a negative N fell back to the
+// inferred truncation, and an N past the cap ran anyway.
+TEST(CommandTest, MalformedTruncationIsRejected) {
+  SharedCatalog catalog(Alphabet::Binary());
+  CommandProcessor proc(&catalog);
+  std::string out;
+  ASSERT_TRUE(proc.Execute("rel R ab ba", &out).ok());
+  for (const char* line : {"!abc x | R(x)", "!-3 x | R(x)", "!4097 x | R(x)"}) {
+    out.clear();
+    Status status = proc.Execute(line, &out);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << line;
+    EXPECT_EQ(status.message(), "usage: !N QUERY") << line;
+    EXPECT_EQ(out, "") << line;
+  }
+  out.clear();
+  ASSERT_TRUE(proc.Execute("!4096 x | R(x)", &out).ok());
+  EXPECT_EQ(out, "{(\"ab\"), (\"ba\")}   (2 tuples)\n");
+}
+
+// Σ^l is counted before it is enumerated: a complement over Σ^{<=27}
+// (2^28 - 1 strings) is refused at once, on both evaluators, instead of
+// building every string until the allocator gives up.
+TEST(CommandTest, OversizedDomainRefusesBeforeEnumerating) {
+  SharedCatalog catalog(Alphabet::Binary());
+  CommandProcessor proc(&catalog, CommandProcessor::Mode::kServer);
+  proc.set_request_deadline_ms(2000);
+  std::string out;
+  ASSERT_TRUE(proc.Execute("rel R1 ab ba", &out).ok());
+  for (const char* engine : {"engine on", "engine off"}) {
+    ASSERT_TRUE(proc.Execute(engine, &out).ok());
+    out.clear();
+    auto start = std::chrono::steady_clock::now();
+    Status status = proc.Execute("!27 x | !R1(x)", &out);
+    double ms = std::chrono::duration<double, std::milli>(
+                    std::chrono::steady_clock::now() - start)
+                    .count();
+    EXPECT_EQ(status.code(), StatusCode::kResourceExhausted)
+        << engine << ": " << status.ToString();
+    EXPECT_LT(ms, 500) << engine;
+  }
 }
 
 TEST(CommandTest, FrameResponseTerminatesBodies) {

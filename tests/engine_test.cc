@@ -22,6 +22,7 @@
 #include "engine/rewrite.h"
 #include "fsa/accept.h"
 #include "fsa/compile.h"
+#include "fsa/serialize.h"
 #include "relational/algebra.h"
 #include "relational/stats.h"
 #include "strform/parser.h"
@@ -128,7 +129,7 @@ TEST(ArtifactCacheTest, SpecializationIsMemoised) {
   Fsa eq = Compile("([x,y]l(x = y))* . [x,y]l(x = ~ & y = ~)", sigma,
                    {"x", "y"});
   ArtifactCache cache;
-  std::string base = ArtifactCache::FsaKey(eq);
+  std::string base = SerializeFsa(eq);
   std::string key1, key2;
   bool hit1 = true, hit2 = false;
   Result<std::shared_ptr<const Fsa>> first =

@@ -1,6 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <thread>
+#include <vector>
+
 #include "calculus/query.h"
+#include "core/metrics.h"
 
 namespace strdb {
 namespace {
@@ -189,6 +195,127 @@ TEST(QueryTest, AnswerStabilisesAtInferredTruncation) {
   Result<StringRelation> below = q->ExecuteTruncated(db, 2);
   ASSERT_TRUE(below.ok());
   EXPECT_LT(below->size(), at_w->size());
+}
+
+// A member query whose needle is 'b' followed by the bits of `id`,
+// least significant first; the top bit is always 1, so distinct ids
+// give distinct texts.  About 10 KB compiled, so a few hundred of them
+// overflow the compiled-query cache.
+std::string MemberText(int id) {
+  std::string out = "x | M(x) & ([x]l(true))* . [x]l(x = 'b')";
+  for (; id > 0; id >>= 1) {
+    out += std::string(" . [x]l(x = '") + (id & 1 ? 'b' : 'a') + "')";
+  }
+  return out;
+}
+
+// The compiled-query cache's instruments.
+const Gauge& CacheBytes() {
+  return *MetricsRegistry::Global().GetGauge(
+      "calculus.query_cache.bytes_in_use");
+}
+int64_t CacheCount(const std::string& what) {
+  return MetricsRegistry::Global()
+      .GetCounter("calculus.query_cache." + what)
+      ->value();
+}
+
+TEST(QueryCacheTest, NeverExceedsItsByteBound) {
+  const Alphabet sigma = Alphabet::Binary();
+  const int64_t evictions_before = CacheCount("evictions");
+  for (int id = 0; id < 5000; ++id) {
+    ASSERT_TRUE(Query::Parse(MemberText(id), sigma).ok()) << id;
+    ASSERT_GT(CacheBytes().value(), 0) << id;
+    ASSERT_LE(CacheBytes().value(), Query::kCacheMaxBytes) << id;
+  }
+  EXPECT_GT(CacheCount("evictions"), evictions_before);
+}
+
+TEST(QueryCacheTest, ConcurrentParsesWhileEvicting) {
+  const Alphabet sigma = Alphabet::Binary();
+  // 300 texts of ~10 KB each: well over the 1 MiB bound, so the threads
+  // keep evicting each other's entries.
+  constexpr int kTexts = 300;
+  std::vector<std::string> want(kTexts);
+  for (int id = 0; id < kTexts; ++id) {
+    Result<Query> q = Query::Compile(MemberText(id), sigma);
+    ASSERT_TRUE(q.ok()) << q.status();
+    want[static_cast<size_t>(id)] = q->formula().ToString();
+  }
+  const int64_t evictions_before = CacheCount("evictions");
+  std::vector<std::thread> threads;
+  std::vector<int> wrong(8, 0);
+  std::vector<int64_t> peak(8, 0);
+  for (int t = 0; t < 8; ++t) {
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < 2 * kTexts; ++i) {
+        // Neighbouring threads overlap on most texts, in shifted order.
+        int id = (i * 7 + t * 37) % kTexts;
+        Result<Query> q = Query::Parse(MemberText(id), sigma);
+        if (!q.ok() ||
+            q->formula().ToString() != want[static_cast<size_t>(id)] ||
+            q->outputs() != std::vector<std::string>{"x"}) {
+          ++wrong[static_cast<size_t>(t)];
+        }
+        peak[static_cast<size_t>(t)] =
+            std::max(peak[static_cast<size_t>(t)], CacheBytes().value());
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(wrong, std::vector<int>(8, 0));
+  EXPECT_GT(CacheCount("evictions"), evictions_before);
+  for (int64_t p : peak) EXPECT_LE(p, Query::kCacheMaxBytes);
+}
+
+// The cached half of the inference is database-independent: the same
+// cached Query must follow max(R, db) as the catalog grows.
+TEST(QueryCacheTest, CachedInferenceFollowsLongerStrings) {
+  Database db = MakeDb();
+  const std::string text =
+      "x | exists y: R1(y) & ([x,y]l(x = y))* . [x]l(x = ~)";
+  Result<Query> q = Query::Parse(text, db.alphabet());
+  ASSERT_TRUE(q.ok()) << q.status();
+  Result<int> before = q->InferTruncation(db);
+  ASSERT_TRUE(before.ok()) << before.status();
+
+  ASSERT_TRUE(db.InsertTuples("R1", {{"abababab"}}).ok());
+  const int64_t hits_before = CacheCount("hits");
+  Result<Query> again = Query::Parse(text, db.alphabet());
+  ASSERT_TRUE(again.ok());
+  EXPECT_EQ(CacheCount("hits"), hits_before + 1);
+  Result<Query> fresh = Query::Compile(text, db.alphabet());
+  ASSERT_TRUE(fresh.ok());
+  for (const Query* cached : {&*q, &*again}) {
+    Result<int> after = cached->InferTruncation(db);
+    ASSERT_TRUE(after.ok()) << after.status();
+    EXPECT_GT(*after, *before);
+    EXPECT_EQ(*after, *fresh->InferTruncation(db));
+    Result<StringRelation> answer = cached->Execute(db);
+    ASSERT_TRUE(answer.ok()) << answer.status();
+    EXPECT_TRUE(answer->Contains({"abababa"}));  // a prefix of the new string
+  }
+}
+
+// Splitting the inference kept its error order: the query's shape is
+// judged first, then each relation is looked up, then the limitation
+// analysis speaks.
+TEST(QueryCacheTest, InferenceErrorsKeepTheirOrder) {
+  Database db = MakeDb();
+  Result<Query> shape = Query::Parse("x | Nope(x) | R1(x)", db.alphabet());
+  ASSERT_TRUE(shape.ok());
+  EXPECT_EQ(shape->InferTruncation(db).status().code(),
+            StatusCode::kInvalidArgument);
+  // The unsafe manifold direction (see ManifoldUnsafeDirectionRejected)
+  // over a relation the catalog lacks: NotFound wins.
+  Result<Query> missing = Query::Parse(
+      "y | exists x: Nope(x) & "
+      "(([y,x]l(y = x))* . [x]l(x = ~) . ([x]r(!(x = ~)))* . [x]r(x = ~))* "
+      ". ([y,x]l(y = x))* . [y,x]l(y = x = ~)",
+      db.alphabet());
+  ASSERT_TRUE(missing.ok());
+  EXPECT_EQ(missing->InferTruncation(db).status().code(),
+            StatusCode::kNotFound);
 }
 
 }  // namespace
