@@ -1,7 +1,7 @@
 #include "core/thread_pool.h"
 
 #include <algorithm>
-#include <chrono>
+#include <exception>
 #include <memory>
 
 #include "core/metrics.h"
@@ -28,58 +28,12 @@ ThreadPool::~ThreadPool() {
   for (std::thread& w : workers_) w.join();
 }
 
-Status ThreadPool::Submit(std::function<void()> task) {
+void ThreadPool::Submit(std::function<void()> task) {
   {
     std::unique_lock<std::mutex> lock(mu_);
-    if (!accepting_ || stop_) {
-      return Status::Unavailable("thread pool is shutting down");
-    }
     queue_.push_back(std::move(task));
-    ++pending_;
   }
   work_cv_.notify_one();
-  return Status::OK();
-}
-
-void ThreadPool::Wait() {
-  std::exception_ptr rethrow;
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    idle_cv_.wait(lock, [this] { return pending_ == 0; });
-    std::swap(rethrow, first_exception_);
-  }
-  if (rethrow != nullptr) std::rethrow_exception(rethrow);
-}
-
-void ThreadPool::Drain() {
-  std::unique_lock<std::mutex> lock(mu_);
-  idle_cv_.wait(lock, [this] { return pending_ == 0; });
-}
-
-Status ThreadPool::Shutdown(int64_t deadline_ms) {
-  std::unique_lock<std::mutex> lock(mu_);
-  accepting_ = false;
-  if (deadline_ms <= 0) {
-    idle_cv_.wait(lock, [this] { return pending_ == 0; });
-    return Status::OK();
-  }
-  bool drained =
-      idle_cv_.wait_for(lock, std::chrono::milliseconds(deadline_ms),
-                        [this] { return pending_ == 0; });
-  if (drained) return Status::OK();
-  return Status::ResourceExhausted(
-      "thread pool shutdown deadline (" + std::to_string(deadline_ms) +
-      "ms) exhausted with " + std::to_string(pending_) + " task(s) pending");
-}
-
-bool ThreadPool::shutting_down() const {
-  std::unique_lock<std::mutex> lock(mu_);
-  return !accepting_ || stop_;
-}
-
-int64_t ThreadPool::queue_depth() const {
-  std::unique_lock<std::mutex> lock(mu_);
-  return static_cast<int64_t>(queue_.size());
 }
 
 void ThreadPool::ParallelFor(int64_t n,
@@ -94,8 +48,8 @@ void ThreadPool::ParallelFor(int64_t n,
   }
   MetricsRegistry::Global().GetCounter("core.pool.parallel_for")->Increment();
   // One completion latch per call: this caller blocks on its own chunks
-  // only, and a chunk exception lands in this latch, not in the
-  // pool-wide slot (concurrent callers never see each other's failures).
+  // only, and a chunk exception lands in this latch (concurrent callers
+  // never see each other's failures).
   struct Latch {
     std::mutex mu;
     std::condition_variable done_cv;
@@ -119,10 +73,7 @@ void ThreadPool::ParallelFor(int64_t n,
       std::lock_guard<std::mutex> lock(latch->mu);
       if (--latch->remaining == 0) latch->done_cv.notify_all();
     };
-    // A pool mid-shutdown rejects the submission; the chunk then runs
-    // inline so the latch still drains and callers never deadlock on a
-    // closing pool.
-    if (!Submit(chunk).ok()) chunk();
+    Submit(std::move(chunk));
   }
   std::exception_ptr rethrow;
   {
@@ -149,23 +100,15 @@ void ThreadPool::WorkerLoop() {
       task = std::move(queue_.front());
       queue_.pop_front();
     }
-    std::exception_ptr thrown;
+    // ParallelFor's chunks catch their own exceptions into the caller's
+    // latch; this catch-all only keeps a stray throw from terminating
+    // the process.
     try {
       task();
     } catch (...) {
-      thrown = std::current_exception();
+      failed->Increment();
     }
     executed->Increment();
-    if (thrown != nullptr) failed->Increment();
-    // The decrement must happen on every path — a throwing task used to
-    // leave pending_ forever positive and Wait() blocked.
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      if (thrown != nullptr && first_exception_ == nullptr) {
-        first_exception_ = thrown;
-      }
-      if (--pending_ == 0) idle_cv_.notify_all();
-    }
   }
 }
 

@@ -4,36 +4,28 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
-#include <exception>
 #include <functional>
 #include <mutex>
 #include <thread>
 #include <vector>
-
-#include "core/status.h"
 
 namespace strdb {
 
 // A fixed-size worker pool.  The engine uses it to partition tuple
 // batches across cores for σ_A acceptance checks; results are merged in
 // submission order by the caller, so parallel evaluation stays
-// deterministic regardless of completion order.  The query server uses
-// a second instance as its dispatch executor, which is where the
-// shutdown API below earns its keep: a long-lived daemon must be able
-// to stop intake, drain in-flight work and observe whether the drain
-// finished — destruction alone races tasks enqueued by other threads.
+// deterministic regardless of completion order.  ParallelFor is the
+// whole interface: the pool runs no free-standing tasks.
 //
 // Exception safety: a throwing task never terminates the process.  The
-// worker catches it, records the first one, and completion bookkeeping
-// runs regardless, so Wait()/ParallelFor cannot deadlock on a failed
-// task.  Wait() rethrows the first exception from plain Submit() tasks;
-// ParallelFor rethrows the first exception from its own chunks (and only
-// its own — concurrent callers are isolated).
+// worker catches it (counting core.pool.task_exceptions), and
+// ParallelFor rethrows the first exception from its own chunks — and
+// only its own, so concurrent callers are isolated.
 class ThreadPool {
  public:
   // `num_threads` <= 0 picks std::thread::hardware_concurrency().
   explicit ThreadPool(int num_threads = 0);
-  // Drains the queue (queued tasks still run), then joins the workers.
+  // Runs every queued task, then joins the workers.
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
@@ -41,61 +33,27 @@ class ThreadPool {
 
   int num_threads() const { return static_cast<int>(workers_.size()); }
 
-  // Enqueues a task.  Fails with kUnavailable once Shutdown() has begun
-  // (the task is NOT enqueued); until then it always succeeds.  Callers
-  // that never shut their pool down may ignore the result.
-  Status Submit(std::function<void()> task);
-
-  // Blocks until every submitted task has finished, then rethrows the
-  // first exception any of them threw (if any).  Must be called from
-  // outside the pool: a worker task calling Wait() (or ParallelFor) would
-  // deadlock once every worker blocks.
-  void Wait();
-
-  // Blocks until the pool is idle (no queued or running tasks) without
-  // consuming recorded exceptions and without stopping intake.  Useful
-  // as a quiesce point for daemons that intend to keep serving.
-  void Drain();
-
-  // Stops intake (subsequent Submit calls fail with kUnavailable) and
-  // waits for queued + running tasks to finish.  With `deadline_ms` > 0
-  // gives up after the deadline and returns kResourceExhausted naming
-  // the number of stragglers — those tasks keep draining in the
-  // background and the destructor still joins them; intake stays
-  // closed either way.  Idempotent: a second call just re-waits.
-  Status Shutdown(int64_t deadline_ms = 0);
-
-  // True once Shutdown() has been called.
-  bool shutting_down() const;
-
-  // Queued-but-not-yet-running tasks (a load signal for admission
-  // control; approximate by nature).
-  int64_t queue_depth() const;
-
   // Runs fn(begin, end) over [0, n) split into roughly equal chunks (at
   // most `max_chunks`, default 4 per worker), blocking until all chunks
   // complete.  Completion is tracked by a per-call latch, so concurrent
   // ParallelFor calls from different threads return as soon as their own
   // chunks drain instead of waiting for the pool to go globally idle.
   // With a single worker the chunks run inline on the calling thread, so
-  // single-core machines pay no synchronisation cost.  During shutdown
-  // (when Submit rejects) the chunks run inline as well — ParallelFor
-  // never fails, it only loses parallelism.
+  // single-core machines pay no synchronisation cost.  Must be called
+  // from outside the pool: a chunk calling ParallelFor could deadlock
+  // once every worker blocks.
   void ParallelFor(int64_t n,
                    const std::function<void(int64_t, int64_t)>& fn,
                    int max_chunks = 0);
 
  private:
+  void Submit(std::function<void()> task);
   void WorkerLoop();
 
-  mutable std::mutex mu_;
-  std::condition_variable work_cv_;   // workers wait for tasks
-  std::condition_variable idle_cv_;   // Wait()/Drain()/Shutdown() wait
+  std::mutex mu_;
+  std::condition_variable work_cv_;  // workers wait for tasks
   std::deque<std::function<void()>> queue_;
   std::vector<std::thread> workers_;
-  int64_t pending_ = 0;  // queued + running tasks
-  std::exception_ptr first_exception_;  // from plain Submit() tasks
-  bool accepting_ = true;  // flipped off by Shutdown()
   bool stop_ = false;
 };
 

@@ -61,7 +61,6 @@ class Engine {
 
   const EngineOptions& options() const { return options_; }
   ArtifactCache& cache() { return cache_; }
-  ThreadPool& pool() { return pool_; }
   StatsCatalog& stats_catalog() { return stats_catalog_; }
   SelectivityFeedback& feedback() { return feedback_; }
   DensityCache& densities() { return densities_; }

@@ -1,6 +1,7 @@
 #include "server/command.h"
 
 #include <cstdarg>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
@@ -62,17 +63,26 @@ std::vector<Tuple> ParseTuples(const std::vector<std::string>& words,
   return tuples;
 }
 
-// The N of a "!N QUERY" prefix: a decimal in [0, Query::kMaxTruncation],
-// the cap InferTruncation enforces; anything else is nullopt.
-std::optional<int> ParseTruncation(const std::string& digits) {
+// A plain decimal in [0, ceiling]: digits only, no sign, no trailing
+// text, no overflow.  Anything else is nullopt.
+std::optional<int64_t> ParseDecimal(const std::string& digits,
+                                    int64_t ceiling) {
   if (digits.empty()) return std::nullopt;
-  int n = 0;
+  int64_t n = 0;
   for (char c : digits) {
     if (c < '0' || c > '9') return std::nullopt;
-    n = n * 10 + (c - '0');
-    if (n > Query::kMaxTruncation) return std::nullopt;
+    int d = c - '0';
+    if (d > ceiling || n > (ceiling - d) / 10) return std::nullopt;
+    n = n * 10 + d;
   }
   return n;
+}
+
+// The on|off argument of a two-word switch verb ("engine on").
+Result<bool> ParseSwitch(const std::vector<std::string>& words) {
+  if (words[1] == "on") return true;
+  if (words[1] == "off") return false;
+  return Status::InvalidArgument("usage: " + words[0] + " on|off");
 }
 
 void AppendLimits(const ResourceLimits& limits, std::string* out) {
@@ -161,13 +171,16 @@ Status CommandProcessor::HandleOpen(const std::vector<std::string>& words,
     return Status::InvalidArgument("usage: open DIR [spill BYTES]");
   }
   if (words.size() == 4) {
-    int64_t threshold = std::atoll(words[3].c_str());
-    if (threshold <= 0) {
+    std::optional<int64_t> threshold = ParseDecimal(words[3], INT64_MAX);
+    if (!threshold.has_value()) {
+      return Status::InvalidArgument("usage: open DIR [spill BYTES]");
+    }
+    if (*threshold == 0) {
       return Status::InvalidArgument(
           "spill threshold must be a positive byte count");
     }
     StoreOptions store_opts;
-    store_opts.spill_threshold_bytes = threshold;
+    store_opts.spill_threshold_bytes = *threshold;
     catalog_->set_store_options(store_opts);
   }
   RecoveryReport report;
@@ -204,13 +217,15 @@ Status CommandProcessor::HandleBudget(const std::vector<std::string>& words,
     AppendLimits(limits_, out);
     return Status::OK();
   }
-  if (words.size() % 2 != 1) {
-    return Status::InvalidArgument(
-        "usage: budget [steps|rows|ms|bytes N ...] | budget off");
-  }
+  const Status usage = Status::InvalidArgument(
+      "usage: budget [steps|rows|ms|bytes N ...] | budget off");
+  if (words.size() % 2 != 1) return usage;
   ResourceLimits next = limits_;
   for (size_t i = 1; i + 1 < words.size(); i += 2) {
-    int64_t value = std::atoll(words[i + 1].c_str());
+    // 0 means "no limit", as with `budget off`.
+    std::optional<int64_t> parsed = ParseDecimal(words[i + 1], INT64_MAX);
+    if (!parsed.has_value()) return usage;
+    int64_t value = *parsed;
     if (words[i] == "steps") {
       next.max_steps = value;
     } else if (words[i] == "rows") {
@@ -235,11 +250,13 @@ Status CommandProcessor::HandleQuery(const std::string& text,
   std::string body = text;
   if (!body.empty() && body[0] == '!') {
     size_t sp = body.find(' ');
-    std::optional<int> n = sp == std::string::npos
-                               ? std::nullopt
-                               : ParseTruncation(body.substr(1, sp - 1));
+    // N is capped at Query::kMaxTruncation, as InferTruncation caps W.
+    std::optional<int64_t> n =
+        sp == std::string::npos
+            ? std::nullopt
+            : ParseDecimal(body.substr(1, sp - 1), Query::kMaxTruncation);
     if (!n.has_value()) return Status::InvalidArgument("usage: !N QUERY");
-    explicit_trunc = *n;
+    explicit_trunc = static_cast<int>(*n);
     body = body.substr(sp + 1);
   }
   // One snapshot for the whole command: parse, truncation inference and
@@ -423,12 +440,12 @@ Status CommandProcessor::Execute(const std::string& line, std::string* out) {
     return HandleExplain(cmd.size() > 8 ? cmd.substr(8) : "", out);
   }
   if (words[0] == "engine" && words.size() == 2) {
-    use_engine_ = words[1] != "off";
+    STRDB_ASSIGN_OR_RETURN(use_engine_, ParseSwitch(words));
     AppendF(out, "engine %s\n", use_engine_ ? "on" : "off");
     return Status::OK();
   }
   if (words[0] == "stats" && words.size() == 2) {
-    show_stats_ = words[1] != "off";
+    STRDB_ASSIGN_OR_RETURN(show_stats_, ParseSwitch(words));
     AppendF(out, "stats %s\n", show_stats_ ? "on" : "off");
     return Status::OK();
   }

@@ -53,7 +53,7 @@ namespace strdb {
 //
 // One CommandProcessor per session; it holds the session-local knobs
 // (engine route, stats, budget limits) and points at the process-shared
-// SharedCatalog.  Execute is NOT reentrant — the dispatcher serializes
+// SharedCatalog.  Execute is NOT reentrant — ServerCore serializes
 // commands per session — but different sessions' processors run
 // concurrently: queries evaluate against an immutable catalog snapshot
 // grabbed at command start, mutations serialize inside SharedCatalog.

@@ -1,8 +1,9 @@
 #include "server/server.h"
 
+#include <algorithm>
 #include <exception>
-#include <future>
 #include <string>
+#include <thread>
 #include <utility>
 
 namespace strdb {
@@ -11,10 +12,16 @@ namespace {
 
 MetricsRegistry& Reg() { return MetricsRegistry::Global(); }
 
+int64_t ResolveWorkers(int num_workers) {
+  if (num_workers > 0) return num_workers;
+  return std::max(1u, std::thread::hardware_concurrency());
+}
+
 }  // namespace
 
 ServerCore::ServerCore(Alphabet alphabet, ServerOptions options)
     : options_(options),
+      max_running_(ResolveWorkers(options.num_workers)),
       catalog_(std::move(alphabet)),
       global_budget_(options.global_limits, nullptr, "server"),
       accepted_(Reg().GetCounter("server.accepted")),
@@ -24,8 +31,7 @@ ServerCore::ServerCore(Alphabet alphabet, ServerOptions options)
       bytes_in_(Reg().GetCounter("server.bytes_in")),
       bytes_out_(Reg().GetCounter("server.bytes_out")),
       active_sessions_gauge_(Reg().GetGauge("server.active_sessions")),
-      queue_depth_gauge_(Reg().GetGauge("server.queue_depth")),
-      pool_(options.num_workers) {
+      queue_depth_gauge_(Reg().GetGauge("server.queue_depth")) {
   // Fault-path counters, registered eagerly so the `metrics` verb shows
   // them at zero instead of omitting them until the first incident.
   Reg().GetCounter("server.deadline_exceeded");
@@ -66,118 +72,91 @@ Status ServerCore::CloseSession(int64_t session_id) {
   return Status::OK();
 }
 
-std::shared_ptr<ServerCore::Session> ServerCore::FindSession(
-    int64_t session_id) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = sessions_.find(session_id);
-  return it != sessions_.end() ? it->second : nullptr;
-}
-
-void ServerCore::Respond(const Status& status, const std::string& body,
-                         const std::function<void(std::string)>& done) {
+std::string ServerCore::Respond(const Status& status,
+                                const std::string& body) {
   std::string response = FrameResponse(status, body);
   bytes_out_->Increment(static_cast<int64_t>(response.size()));
   if (!status.ok()) errors_->Increment();
-  done(std::move(response));
+  return response;
 }
 
-void ServerCore::Dispatch(int64_t session_id, std::string line,
-                          std::function<void(std::string)> done) {
-  bytes_in_->Increment(static_cast<int64_t>(line.size()) + 1);  // + '\n'
-  Status admit;  // non-OK => immediate inline response, nothing enqueued
-  std::shared_ptr<Session> session;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (draining_) {
-      rejected_admission_->Increment();
-      admit = Status::Unavailable("server is draining");
-    } else if (auto it = sessions_.find(session_id); it == sessions_.end()) {
-      admit = Status::NotFound("unknown session " +
-                               std::to_string(session_id));
-    } else if (options_.max_queue_depth > 0 &&
-               queued_ >= options_.max_queue_depth) {
-      rejected_admission_->Increment();
-      admit = Status::ResourceExhausted(
-          "admission: dispatch queue full (" +
-          std::to_string(options_.max_queue_depth) +
-          " command(s) already waiting); retry later");
-    } else {
-      session = it->second;
-      ++queued_;
-      queue_depth_gauge_->Set(queued_);
-    }
-  }
-  if (!admit.ok()) {
-    // A rejection is a response line, not a disconnect: the client
-    // keeps its connection and may retry after backing off.
-    Respond(admit, std::string(), done);
-    return;
-  }
-
-  // Shared so the Submit-failure path below can still answer after the
-  // rejected lambda (which owns a reference too) has been destroyed.
-  auto shared_done =
-      std::make_shared<std::function<void(std::string)>>(std::move(done));
-  Status submitted = pool_.Submit(
-      [this, session = std::move(session), line = std::move(line),
-       shared_done] {
-        {
-          std::lock_guard<std::mutex> lock(mu_);
-          --queued_;
-          queue_depth_gauge_->Set(queued_);
-        }
-        // One command at a time per session: the grammar state
-        // (budget/engine toggles) and the response stream both assume
-        // serial order within a session.
-        std::lock_guard<std::mutex> session_lock(session->mu);
-        std::string body;
-        Status status;
-        // A throwing command must not orphan its response: the pool
-        // worker swallows task exceptions, so an escape here would
-        // leave Execute() blocked on a future that never resolves (and
-        // the connection thread wedged forever).
-        try {
-          status = session->processor.Execute(line, &body);
-        } catch (const std::exception& e) {
-          body.clear();
-          status = Status::Internal(std::string("command threw: ") + e.what());
-        } catch (...) {
-          body.clear();
-          status = Status::Internal("command threw a non-exception");
-        }
-        commands_->Increment();
-        Respond(status, body, *shared_done);
-      });
-  if (!submitted.ok()) {
-    // The pool closed intake between the admission check and here (a
-    // drain raced us).  Undo the queue accounting and answer typed.
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      --queued_;
-      queue_depth_gauge_->Set(queued_);
-    }
+std::shared_ptr<ServerCore::Session> ServerCore::Admit(
+    int64_t session_id, std::string* rejection) {
+  std::unique_lock<std::mutex> lock(mu_);
+  auto it = sessions_.find(session_id);
+  Status refused;
+  if (draining_) {
     rejected_admission_->Increment();
-    Respond(Status::Unavailable("server is draining"), std::string(),
-            *shared_done);
+    refused = Status::Unavailable("server is draining");
+  } else if (it == sessions_.end()) {
+    refused =
+        Status::NotFound("unknown session " + std::to_string(session_id));
+  } else if (options_.max_queue_depth > 0 &&
+             queued_ >= options_.max_queue_depth) {
+    rejected_admission_->Increment();
+    refused = Status::ResourceExhausted(
+        "admission: dispatch queue full (" +
+        std::to_string(options_.max_queue_depth) +
+        " command(s) already waiting); retry later");
+  } else {
+    std::shared_ptr<Session> session = it->second;
+    // Callers already waiting go first: a newcomer takes a free permit
+    // only when nobody is queued for one.
+    if (running_ >= max_running_ || queued_ > 0) {
+      queue_depth_gauge_->Set(++queued_);
+      permit_cv_.wait(lock, [this] { return running_ < max_running_; });
+      queue_depth_gauge_->Set(--queued_);
+    }
+    ++running_;
+    return session;
   }
+  // Framed under mu_, so a rejected caller is done with the core once
+  // it unlocks, just like an admitted one once it releases its permit.
+  *rejection = Respond(refused, std::string());
+  return nullptr;
 }
 
 std::string ServerCore::Execute(int64_t session_id, const std::string& line) {
-  std::promise<std::string> promise;
-  std::future<std::string> future = promise.get_future();
-  Dispatch(session_id, line,
-           [&promise](std::string response) {
-             promise.set_value(std::move(response));
-           });
-  return future.get();
+  bytes_in_->Increment(static_cast<int64_t>(line.size()) + 1);  // + '\n'
+  std::string response;
+  std::shared_ptr<Session> session = Admit(session_id, &response);
+  // A rejection is a response line, not a disconnect: the client keeps
+  // its connection and may retry after backing off.
+  if (session == nullptr) return response;
+  {
+    // One command at a time per session: the grammar state
+    // (budget/engine toggles) and the response stream both assume
+    // serial order within a session.
+    std::lock_guard<std::mutex> session_lock(session->mu);
+    std::string body;
+    Status status;
+    // A throwing command must not escape: it would terminate the
+    // connection thread, and with it the process, mid-response.
+    try {
+      status = session->processor.Execute(line, &body);
+    } catch (const std::exception& e) {
+      body.clear();
+      status = Status::Internal(std::string("command threw: ") + e.what());
+    } catch (...) {
+      body.clear();
+      status = Status::Internal("command threw a non-exception");
+    }
+    commands_->Increment();
+    response = Respond(status, body);
+  }
+  session.reset();
+  // Releasing the permit is this caller's last touch of the core: once
+  // no command runs or waits, Drain() returns and the core may go.
+  std::lock_guard<std::mutex> lock(mu_);
+  --running_;
+  permit_cv_.notify_all();
+  return response;
 }
 
-Status ServerCore::Drain(int64_t deadline_ms) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    draining_ = true;
-  }
-  return pool_.Shutdown(deadline_ms);
+void ServerCore::Drain() {
+  std::unique_lock<std::mutex> lock(mu_);
+  draining_ = true;
+  permit_cv_.wait(lock, [this] { return running_ == 0 && queued_ == 0; });
 }
 
 bool ServerCore::draining() const {

@@ -1,8 +1,8 @@
 #ifndef STRDB_SERVER_SERVER_H_
 #define STRDB_SERVER_SERVER_H_
 
+#include <condition_variable>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -12,22 +12,23 @@
 #include "core/budget.h"
 #include "core/metrics.h"
 #include "core/result.h"
-#include "core/thread_pool.h"
 #include "server/catalog.h"
 #include "server/command.h"
 
 namespace strdb {
 
 struct ServerOptions {
-  // Dispatcher pool size; <= 0 picks hardware_concurrency().  This pool
-  // runs whole commands; the engine's own pool (Engine::Shared())
-  // parallelises *inside* a query, so the two never compose into a
-  // worker-waits-for-worker deadlock.
+  // Commands executing at once, across all sessions; <= 0 picks
+  // hardware_concurrency().  Each command runs on its caller's thread
+  // (a TcpServer connection thread); this cap is the number of execution
+  // permits.  The engine's own pool (Engine::Shared()) parallelises
+  // *inside* a query, and its workers never call back into the server,
+  // so the two never compose into a worker-waits-for-worker deadlock.
   int num_workers = 0;
-  // Admission bound: commands queued (accepted but not yet running) at
-  // once, across all sessions.  The bound is what turns overload into a
+  // Admission bound: callers waiting for an execution permit at once,
+  // across all sessions.  The bound is what turns overload into a
   // typed, protocol-visible kResourceExhausted line instead of
-  // unbounded memory growth or a hung client.
+  // unbounded waiting or a hung client.
   int64_t max_queue_depth = 64;
   // Concurrent sessions; OpenSession past this is rejected typed.
   int64_t max_sessions = 256;
@@ -52,32 +53,33 @@ struct ServerOptions {
   int64_t read_deadline_ms = 0;
 };
 
-// The transport-free heart of strdb_server: session registry, command
-// dispatcher and admission control over a SharedCatalog.  The TCP layer
+// The transport-free heart of strdb_server: session registry, admission
+// control and command execution over a SharedCatalog.  The TCP layer
 // (server/tcp.h) is a thin framing shim over this class, and the
 // server-vs-serial conformance target drives it directly in-process —
 // every concurrency property is testable without a socket.
 //
-// Dispatch model: each session holds one CommandProcessor (its grammar
+// Execution model: each session holds one CommandProcessor (its grammar
 // state: engine route, stats, budget limits) and executes at most one
 // command at a time (a per-session lock enforces it even if a transport
-// misbehaves).  Commands from different sessions run concurrently on
-// the dispatcher pool; queries read an immutable catalog snapshot,
+// misbehaves).  Execute runs the command on the calling thread once it
+// holds one of num_workers execution permits.  Commands from different
+// sessions run concurrently; queries read an immutable catalog snapshot,
 // mutations serialize inside SharedCatalog — so readers never block the
 // writer and every response equals some serial execution of that
 // session's commands.
 //
 // Admission: a command is rejected up front — with a response line, not
-// a disconnect — when the dispatch queue is at max_queue_depth, when
-// the server is draining, or (mid-query, via the budget hierarchy) when
-// the global in-flight account is exhausted.
+// a disconnect — when every permit is taken and max_queue_depth callers
+// already wait for one, when the server is draining, or (mid-query, via
+// the budget hierarchy) when the global in-flight account is exhausted.
 //
 // Metrics (server.*): accepted, rejected_admission, commands, errors,
 // bytes_in, bytes_out counters; active_sessions, queue_depth gauges.
 class ServerCore {
  public:
   explicit ServerCore(Alphabet alphabet, ServerOptions options = {});
-  // Drains: equivalent to Drain() with no deadline.
+  // Drains (see Drain()).
   ~ServerCore();
 
   ServerCore(const ServerCore&) = delete;
@@ -89,31 +91,30 @@ class ServerCore {
   // Registers a session.  Fails typed (kResourceExhausted) at the
   // max_sessions bound, (kUnavailable) once draining.
   Result<int64_t> OpenSession();
-  // Unregisters; an in-flight command finishes safely (the dispatch
-  // task keeps the session alive), later dispatches fail kNotFound.
+  // Unregisters; an in-flight command finishes safely (its caller keeps
+  // the session alive), later commands fail kNotFound.
   Status CloseSession(int64_t session_id);
 
-  // Enqueues one command line for `session_id`.  `done` receives the
+  // Executes one command line for `session_id` on the calling thread,
+  // waiting for an execution permit if all are taken, and returns the
   // framed protocol response (body + "ok"/"err ..." terminator; see
-  // FrameResponse) exactly once — on a pool worker normally, inline on
-  // admission rejection.  Never blocks on query execution.
-  void Dispatch(int64_t session_id, std::string line,
-                std::function<void(std::string)> done);
-
-  // Dispatch + wait: the transport's (and tests') synchronous form.
+  // FrameResponse).  Admission rejections return at once, typed.
   std::string Execute(int64_t session_id, const std::string& line);
 
-  // Graceful drain: stop admitting commands (and sessions), wait for
-  // in-flight work.  deadline_ms <= 0 waits indefinitely; otherwise a
-  // deadline overrun returns kResourceExhausted (stragglers keep
-  // draining in the background).  Idempotent.
-  Status Drain(int64_t deadline_ms = 0);
+  // Graceful drain: stop admitting commands (and sessions), then wait
+  // until no command is running or waiting for a permit — admitted
+  // waiters still run.  Once it returns no caller touches the core.
+  // Idempotent.
+  void Drain();
   bool draining() const;
 
   int64_t active_sessions() const;
+  // Callers admitted but still waiting for an execution permit.
   int64_t queue_depth() const;
 
  private:
+  // Owned jointly by the registry and the caller executing on it, so
+  // CloseSession never frees a session mid-command.
   struct Session {
     explicit Session(SharedCatalog* catalog)
         : processor(catalog, CommandProcessor::Mode::kServer) {}
@@ -121,11 +122,14 @@ class ServerCore {
     CommandProcessor processor;
   };
 
-  std::shared_ptr<Session> FindSession(int64_t session_id) const;
-  void Respond(const Status& status, const std::string& body,
-               const std::function<void(std::string)>& done);
+  // Admission: returns the session with a permit held, or null with the
+  // framed rejection in *rejection.  May wait for a permit.
+  std::shared_ptr<Session> Admit(int64_t session_id, std::string* rejection);
+  // Frames the response and counts it in bytes_out (and errors).
+  std::string Respond(const Status& status, const std::string& body);
 
   const ServerOptions options_;
+  const int64_t max_running_;  // options_.num_workers, resolved
   SharedCatalog catalog_;
   ResourceBudget global_budget_;
 
@@ -139,15 +143,13 @@ class ServerCore {
   Gauge* const queue_depth_gauge_;
 
   mutable std::mutex mu_;
+  // Signalled when a permit is released: wakes permit waiters and Drain.
+  std::condition_variable permit_cv_;
   std::map<int64_t, std::shared_ptr<Session>> sessions_;
   int64_t next_session_id_ = 1;
-  int64_t queued_ = 0;  // accepted, not yet running
+  int64_t running_ = 0;  // commands holding a permit
+  int64_t queued_ = 0;   // admitted, waiting for a permit
   bool draining_ = false;
-
-  // Last member: its destructor (via Drain in ~ServerCore) runs before
-  // the fields above are torn down, so in-flight tasks always see a
-  // live catalog and metrics.
-  ThreadPool pool_;
 };
 
 }  // namespace strdb

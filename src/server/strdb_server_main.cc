@@ -16,8 +16,9 @@
 //                       through the buffer pool (default 0 = never)
 //   --pager-cap BYTES   buffer-pool byte cap for reading spilled
 //                       relations (default 4 MiB)
-//   --workers N         dispatcher pool size (default: hardware)
-//   --queue-depth N     admission bound on queued commands (default 64)
+//   --workers N         commands executing at once (default: hardware)
+//   --queue-depth N     admission bound on callers waiting for a slot
+//                       (default 64)
 //   --max-sessions N    concurrent session bound (default 256)
 //   --global-steps N    global in-flight search-step account
 //   --global-rows N     global in-flight materialised-row account
@@ -49,8 +50,11 @@
 //
 // SIGTERM/SIGINT drain gracefully: stop accepting, finish in-flight
 // commands, checkpoint the durable store if one is open, then exit 0.
+#include <errno.h>
 #include <signal.h>
 
+#include <climits>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -71,12 +75,16 @@ void HandleSignal(int) {
   if (g_server != nullptr) g_server->RequestStop();
 }
 
-int64_t ParseInt(const char* flag, const char* text) {
+// A decimal in [0, max]; anything else exits 2 naming the flag.  `max`
+// is the largest value the flag's destination type can hold.
+int64_t ParseInt(const char* flag, const char* text,
+                 int64_t max = INT64_MAX) {
   char* end = nullptr;
+  errno = 0;
   long long v = std::strtoll(text, &end, 10);
-  if (end == text || *end != '\0' || v < 0) {
-    std::fprintf(stderr, "%s expects a non-negative integer, got '%s'\n",
-                 flag, text);
+  if (end == text || *end != '\0' || errno == ERANGE || v < 0 || v > max) {
+    std::fprintf(stderr, "%s expects an integer in [0, %lld], got '%s'\n",
+                 flag, static_cast<long long>(max), text);
     std::exit(2);
   }
   return static_cast<int64_t>(v);
@@ -102,7 +110,7 @@ int main(int argc, char** argv) {
       return argv[++i];
     };
     if (arg == "--port") {
-      port = static_cast<int>(ParseInt("--port", next("--port")));
+      port = static_cast<int>(ParseInt("--port", next("--port"), 65535));
     } else if (arg == "--dir") {
       dir = next("--dir");
     } else if (arg == "--spill") {
@@ -113,7 +121,7 @@ int main(int argc, char** argv) {
           ParseInt("--pager-cap", next("--pager-cap"));
     } else if (arg == "--workers") {
       options.num_workers =
-          static_cast<int>(ParseInt("--workers", next("--workers")));
+          static_cast<int>(ParseInt("--workers", next("--workers"), INT_MAX));
     } else if (arg == "--queue-depth") {
       options.max_queue_depth =
           ParseInt("--queue-depth", next("--queue-depth"));
@@ -139,8 +147,8 @@ int main(int argc, char** argv) {
       options.request_deadline_ms =
           ParseInt("--request-deadline-ms", next("--request-deadline-ms"));
     } else if (arg == "--read-deadline-ms") {
-      options.read_deadline_ms =
-          ParseInt("--read-deadline-ms", next("--read-deadline-ms"));
+      options.read_deadline_ms = ParseInt(
+          "--read-deadline-ms", next("--read-deadline-ms"), INT_MAX);
     } else if (arg == "--scrub-interval-ms") {
       store_options.scrub_interval_ms =
           ParseInt("--scrub-interval-ms", next("--scrub-interval-ms"));
@@ -197,10 +205,7 @@ int main(int argc, char** argv) {
 
   server.Serve();  // returns once a signal requests the stop
 
-  Status drained = server.Stop();
-  if (!drained.ok()) {
-    std::fprintf(stderr, "drain: %s\n", drained.ToString().c_str());
-  }
+  server.Stop();
   if (core.catalog().durable()) {
     int persisted = 0;
     int64_t generation = 0;
@@ -219,5 +224,5 @@ int main(int argc, char** argv) {
               static_cast<long long>(
                   MetricsRegistry::Global().GetCounter("server.commands")
                       ->value()));
-  return drained.ok() ? 0 : 1;
+  return 0;
 }

@@ -121,7 +121,7 @@ void TcpServer::RequestStop() {
   stop_.store(true, std::memory_order_relaxed);
 }
 
-Status TcpServer::Stop(int64_t deadline_ms) {
+void TcpServer::Stop() {
   stop_.store(true, std::memory_order_relaxed);
   std::map<int64_t, std::thread> threads;
   {
@@ -136,7 +136,7 @@ Status TcpServer::Stop(int64_t deadline_ms) {
     finished_conn_ids_.clear();
   }
   for (auto& [id, t] : threads) t.join();
-  return core_->Drain(deadline_ms);
+  core_->Drain();
 }
 
 void TcpServer::HandleConnection(int64_t conn_id, int fd) {

@@ -19,10 +19,11 @@ namespace strdb {
 // 127.0.0.1 speaking the newline-framed protocol (one command per line
 // in, FrameResponse-framed response out).  One thread per connection;
 // each connection owns one ServerCore session and executes its
-// commands in order, so the response stream is the serial execution of
-// that connection's lines — concurrency (and every interesting
-// property) lives entirely in ServerCore, which is why the conformance
-// driver skips this layer and tests the core in-process.
+// commands in order on its own thread, via ServerCore::Execute, so the
+// response stream is the serial execution of that connection's lines.
+// Admission and every other concurrency property live in ServerCore,
+// which is why the conformance driver skips this layer and tests the
+// core in-process.
 class TcpServer {
  public:
   explicit TcpServer(ServerCore* core) : core_(core) {}
@@ -46,9 +47,8 @@ class TcpServer {
 
   // Graceful drain: stop accepting, shut down the read side of every
   // live connection (in-flight commands still get their responses),
-  // join connection threads, then drain the core (see
-  // ServerCore::Drain for deadline semantics).  Idempotent.
-  Status Stop(int64_t deadline_ms = 0);
+  // join connection threads, then drain the core.  Idempotent.
+  void Stop();
 
  private:
   void HandleConnection(int64_t conn_id, int fd);

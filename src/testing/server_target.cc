@@ -1,8 +1,6 @@
-#include <condition_variable>
-#include <chrono>
 #include <cstdlib>
+#include <latch>
 #include <map>
-#include <mutex>
 #include <set>
 #include <sstream>
 #include <thread>
@@ -219,32 +217,26 @@ std::optional<Divergence> RunOverload(const ServerCase& sc) {
     total += sc.logs[i].size();
   }
 
-  // Fire every query at once: with a tiny queue bound this is what
-  // drives admission rejections.  The commands are read-only, so each
-  // response is order-independent and checkable in isolation.
+  // Fire every query at once, one caller thread per command, released
+  // together: with a tiny queue bound this is what drives admission
+  // rejections.  The commands are read-only, so each response is
+  // order-independent and checkable in isolation.
   std::vector<std::vector<std::string>> got(n);
-  std::mutex mu;
-  std::condition_variable cv;
-  size_t remaining = total;
-  for (size_t i = 0; i < n; ++i) {
-    got[i].resize(sc.logs[i].size());
-    for (size_t j = 0; j < sc.logs[i].size(); ++j) {
-      core.Dispatch(ids[i], sc.logs[i][j], [&, i, j](std::string response) {
-        std::lock_guard<std::mutex> lock(mu);
-        got[i][j] = std::move(response);
-        if (--remaining == 0) cv.notify_one();
-      });
-    }
-  }
   {
-    std::unique_lock<std::mutex> lock(mu);
-    if (!cv.wait_for(lock, std::chrono::seconds(120),
-                     [&] { return remaining == 0; })) {
-      return Divergence{"server hung under overload: " +
-                        std::to_string(remaining) + " of " +
-                        std::to_string(total) +
-                        " responses still missing after 120s"};
+    std::latch start(1);
+    std::vector<std::thread> callers;
+    callers.reserve(total);
+    for (size_t i = 0; i < n; ++i) {
+      got[i].resize(sc.logs[i].size());
+      for (size_t j = 0; j < sc.logs[i].size(); ++j) {
+        callers.emplace_back([&, i, j] {
+          start.wait();
+          got[i][j] = core.Execute(ids[i], sc.logs[i][j]);
+        });
+      }
     }
+    start.count_down();
+    for (std::thread& t : callers) t.join();
   }
 
   // Serial oracle: same catalog, no global budget, no admission bound.

@@ -407,12 +407,13 @@ class QueryCacheDiffTarget : public DiffTarget {
 //             must be byte-identical to a serial replay of its log
 //             (fresh catalog, one CommandProcessor per session).
 //   overload  a serially-installed shared catalog, then read-only
-//             queries fired from every session at once against a tiny
-//             dispatch queue and a tiny global in-flight budget.
-//             Oracle: every response is either byte-identical to its
-//             serial replay or ends in a typed "err resource-exhausted"
-//             line (admission or budget) — never wrong tuples, never a
-//             hang.
+//             queries fired at once, one caller thread per command,
+//             against a tiny admission queue and a tiny global
+//             in-flight budget.  Oracle: every response is either
+//             byte-identical to its serial replay or ends in a typed
+//             "err resource-exhausted" line (admission or budget) —
+//             never wrong tuples.  A hang never returns, so the run's
+//             own timeout reports it.
 //   snapshot  one writer session republishes relation R while reader
 //             sessions query it.  Oracle: every reader response equals
 //             the serial response over exactly one published version of

@@ -6,7 +6,10 @@
 // shell's historical printf outputs, byte for byte.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <chrono>
+#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -172,6 +175,51 @@ TEST(CommandTest, MalformedTruncationIsRejected) {
   out.clear();
   ASSERT_TRUE(proc.Execute("!4096 x | R(x)", &out).ok());
   EXPECT_EQ(out, "{(\"ab\"), (\"ba\")}   (2 tuples)\n");
+}
+
+// Numbers and on|off switches parse strictly.  Each refused line below
+// used to answer ok: a non-number or negative budget turned the limit
+// off, "12xyz" read as 12, an overflowing value saturated, `spill 12abc`
+// opened a store with threshold 12, and any word but "off" switched
+// on.  A refused command answers its usage line and leaves the session
+// as it was.
+TEST(CommandTest, MalformedNumbersAndSwitchesAreRejected) {
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::temp_directory_path() /
+                       ("strdb_spill_arg." + std::to_string(::getpid()));
+  const std::string budget =
+      "invalid-argument: usage: budget [steps|rows|ms|bytes N ...] | "
+      "budget off";
+  const std::string limits = "budget: steps=7000 rows=800 ms=9000 bytes=-\n";
+  const std::string bare = "{(\"ab\")}   (1 tuples)\n";
+  SharedCatalog catalog(Alphabet::Binary());
+  CommandProcessor proc(&catalog);
+  RunTranscript(
+      proc,
+      {
+          {"budget steps 7000 rows 800 ms 9000", limits, true, ""},
+          {"rel R ab", "defined R/1 with 1 tuples\n", true, ""},
+          {"budget ms abc", "", false, budget},
+          {"budget steps -5", "", false, budget},
+          {"budget rows 12xyz", "", false, budget},
+          {"budget ms 99999999999999999999", "", false, budget},
+          {"budget", limits, true, ""},
+          {"open " + dir.string() + " spill 12abc", "", false,
+           "invalid-argument: usage: open DIR [spill BYTES]"},
+          // Stats print only with stats on and on the engine route.
+          {"stats yes", "", false, "invalid-argument: usage: stats on|off"},
+          {"x | R(x)", bare, true, ""},  // stats still off
+          {"engine off", "engine off\n", true, ""},
+          {"engine maybe", "", false, "invalid-argument: usage: engine on|off"},
+          {"stats on", "stats on\n", true, ""},
+          {"x | R(x)", bare, true, ""},  // engine still off
+          // 0 still means "no limit"; the largest int64 is a number.
+          {"budget ms 0 steps 9223372036854775807",
+           "budget: steps=9223372036854775807 rows=800 ms=- bytes=-\n", true,
+           ""},
+      });
+  EXPECT_FALSE(catalog.durable());
+  EXPECT_FALSE(fs::exists(dir));
 }
 
 // Σ^l is counted before it is enumerated: a complement over Σ^{<=27}

@@ -2,8 +2,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
-#include <mutex>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -152,25 +150,6 @@ TEST(RngTest, StringUsesAlphabet) {
 
 // --- ThreadPool exception safety -----------------------------------------
 
-TEST(ThreadPoolStressTest, ThrowingSubmitTaskSurfacesInWait) {
-  ThreadPool pool(3);
-  std::atomic<int> ran{0};
-  for (int i = 0; i < 20; ++i) {
-    pool.Submit([&ran] { ++ran; });
-  }
-  pool.Submit([] { throw std::runtime_error("task boom"); });
-  for (int i = 0; i < 20; ++i) {
-    pool.Submit([&ran] { ++ran; });
-  }
-  EXPECT_THROW(pool.Wait(), std::runtime_error);
-  EXPECT_EQ(ran.load(), 40);
-  // The failure is consumed: the pool stays usable and a clean Wait()
-  // does not replay it.
-  pool.Submit([&ran] { ++ran; });
-  EXPECT_NO_THROW(pool.Wait());
-  EXPECT_EQ(ran.load(), 41);
-}
-
 TEST(ThreadPoolStressTest, ParallelForRethrowsFirstChunkException) {
   ThreadPool pool(4);
   std::atomic<int64_t> covered{0};
@@ -181,9 +160,6 @@ TEST(ThreadPoolStressTest, ParallelForRethrowsFirstChunkException) {
                          if (begin == 0) throw std::runtime_error("chunk boom");
                        }),
       std::runtime_error);
-  // The chunk exception belongs to the ParallelFor call, not to the
-  // pool-wide Wait() slot.
-  EXPECT_NO_THROW(pool.Wait());
   EXPECT_EQ(covered.load(), 1000);
 }
 
@@ -207,22 +183,6 @@ TEST(ThreadPoolStressTest, ConcurrentParallelForCallersAreIndependent) {
   for (int c = 0; c < kCallers; ++c) {
     EXPECT_EQ(sums[static_cast<size_t>(c)].load(), kN * (kN - 1) / 2);
   }
-}
-
-TEST(ThreadPoolStressTest, DestructorDrainsQueuedWorkEvenWhenTasksThrow) {
-  std::atomic<int> ran{0};
-  {
-    ThreadPool pool(2);
-    for (int i = 0; i < 50; ++i) {
-      pool.Submit([&ran, i] {
-        ++ran;
-        if (i % 7 == 0) throw std::runtime_error("late boom");
-      });
-    }
-    // No Wait(): the destructor must drain the queue without
-    // std::terminate and without deadlocking on the throwing tasks.
-  }
-  EXPECT_EQ(ran.load(), 50);
 }
 
 // --- Metrics --------------------------------------------------------------
@@ -369,92 +329,6 @@ TEST(ResourceBudgetTest, ChargingIsThreadSafe) {
   for (std::thread& t : threads) t.join();
   EXPECT_EQ(budget.steps_used(), int64_t{kThreads} * kPerThread);
   EXPECT_GT(failures.load(), 0);
-}
-
-// --- ThreadPool lifecycle (Drain / Shutdown) -------------------------------
-
-TEST(ThreadPoolLifecycleTest, SubmitAfterShutdownIsTypedRejection) {
-  ThreadPool pool(2);
-  EXPECT_FALSE(pool.shutting_down());
-  EXPECT_TRUE(pool.Shutdown().ok());
-  EXPECT_TRUE(pool.shutting_down());
-  Status s = pool.Submit([] {});
-  ASSERT_FALSE(s.ok());
-  EXPECT_EQ(s.code(), StatusCode::kUnavailable);
-}
-
-TEST(ThreadPoolLifecycleTest, SubmitDuringShutdownWaitIsTypedRejection) {
-  ThreadPool pool(1);
-  std::mutex mu;
-  std::condition_variable cv;
-  bool release = false;
-  ASSERT_TRUE(pool.Submit([&] {
-                    std::unique_lock<std::mutex> lock(mu);
-                    cv.wait(lock, [&] { return release; });
-                  })
-                  .ok());
-  std::thread closer([&pool] { EXPECT_TRUE(pool.Shutdown().ok()); });
-  // Intake closes as soon as Shutdown takes the lock, before the drain
-  // completes: a task enqueued during the wait must be rejected typed,
-  // not silently dropped or deadlocked on.
-  while (!pool.shutting_down()) std::this_thread::yield();
-  Status s = pool.Submit([] {});
-  ASSERT_FALSE(s.ok());
-  EXPECT_EQ(s.code(), StatusCode::kUnavailable);
-  {
-    std::lock_guard<std::mutex> lock(mu);
-    release = true;
-  }
-  cv.notify_all();
-  closer.join();
-}
-
-TEST(ThreadPoolLifecycleTest, ShutdownDeadlineNamesStragglers) {
-  ThreadPool pool(1);
-  std::mutex mu;
-  std::condition_variable cv;
-  bool release = false;
-  ASSERT_TRUE(pool.Submit([&] {
-                    std::unique_lock<std::mutex> lock(mu);
-                    cv.wait(lock, [&] { return release; });
-                  })
-                  .ok());
-  Status s = pool.Shutdown(/*deadline_ms=*/50);
-  ASSERT_FALSE(s.ok());
-  EXPECT_EQ(s.code(), StatusCode::kResourceExhausted);
-  EXPECT_NE(s.ToString().find("1 task(s) pending"), std::string::npos);
-  {
-    std::lock_guard<std::mutex> lock(mu);
-    release = true;
-  }
-  cv.notify_all();
-  // A second call re-waits; the straggler has been released, so the
-  // drain now completes.
-  EXPECT_TRUE(pool.Shutdown().ok());
-}
-
-TEST(ThreadPoolLifecycleTest, DrainQuiescesWithoutClosingIntake) {
-  ThreadPool pool(2);
-  std::atomic<int> ran{0};
-  for (int i = 0; i < 16; ++i) {
-    ASSERT_TRUE(pool.Submit([&ran] { ++ran; }).ok());
-  }
-  pool.Drain();
-  EXPECT_EQ(ran.load(), 16);
-  EXPECT_FALSE(pool.shutting_down());
-  ASSERT_TRUE(pool.Submit([&ran] { ++ran; }).ok());
-  pool.Drain();
-  EXPECT_EQ(ran.load(), 17);
-}
-
-TEST(ThreadPoolLifecycleTest, ParallelForAfterShutdownRunsInline) {
-  ThreadPool pool(2);
-  EXPECT_TRUE(pool.Shutdown().ok());
-  std::atomic<int64_t> sum{0};
-  pool.ParallelFor(100, [&sum](int64_t begin, int64_t end) {
-    for (int64_t i = begin; i < end; ++i) sum += i;
-  });
-  EXPECT_EQ(sum.load(), 99 * 100 / 2);
 }
 
 // --- hierarchical ResourceBudget -------------------------------------------

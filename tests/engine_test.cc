@@ -91,20 +91,10 @@ AlgebraExpr ConcatQuery(const Alphabet& alphabet) {
 
 // --- thread pool -----------------------------------------------------------
 
-TEST(ThreadPoolTest, SubmitAndWait) {
-  ThreadPool pool(3);
-  EXPECT_EQ(pool.num_threads(), 3);
-  std::atomic<int> counter{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.Submit([&counter] { counter.fetch_add(1); });
-  }
-  pool.Wait();
-  EXPECT_EQ(counter.load(), 100);
-}
-
 TEST(ThreadPoolTest, ParallelForCoversRangeExactlyOnce) {
   for (int threads : {1, 4}) {
     ThreadPool pool(threads);
+    EXPECT_EQ(pool.num_threads(), threads);
     std::vector<std::atomic<int>> touched(997);
     pool.ParallelFor(997, [&touched](int64_t begin, int64_t end) {
       for (int64_t i = begin; i < end; ++i) {

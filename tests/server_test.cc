@@ -1,8 +1,8 @@
-// ServerCore: session lifecycle, dispatch, admission control, snapshot
-// isolation, the server.* metrics, idempotent request dedup, request
-// deadlines — plus socket-level framing tests against a real TcpServer
-// (partial frames, mid-command stalls vs the read deadline) and the
-// drain-vs-paged-scan shutdown ordering.
+// ServerCore: session lifecycle, execution, admission control, drain,
+// snapshot isolation, the server.* metrics, idempotent request dedup,
+// request deadlines — plus socket-level tests against a real TcpServer
+// (partial frames, mid-command stalls vs the read deadline, the
+// admission queue bound) and the drain-vs-paged-scan shutdown ordering.
 #include <gtest/gtest.h>
 
 #include <poll.h>
@@ -12,9 +12,10 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 
-#include <atomic>
+#include <chrono>
 #include <cstring>
 #include <filesystem>
+#include <functional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -38,6 +39,41 @@ std::string Terminator(const std::string& response) {
   return response.substr(start, response.size() - 1 - start);
 }
 
+// "rel NAME" over all binary words of `length` letters.  With R =
+// AllWords("R", 6), the triple self-join kSlowJoin emits 64^3 = 262144
+// rows, which takes orders of magnitude longer than any other command
+// in these tests.
+std::string AllWords(const std::string& name, int length) {
+  std::string rel = "rel " + name;
+  for (int w = 0; w < 1 << length; ++w) {
+    rel += ' ';
+    for (int bit = length - 1; bit >= 0; --bit) {
+      rel += (w >> bit) & 1 ? 'b' : 'a';
+    }
+  }
+  return rel;
+}
+constexpr char kSlowJoin[] = "x, y, z | R(x) & R(y) & R(z)";
+
+// The contract under pressure: a heavy query either completes (its
+// answer ends in `ok`) or dies typed at its deadline — never wrong
+// tuples, never a hang.
+bool OkOrExhausted(const std::string& response) {
+  std::string terminator = Terminator(response);
+  return terminator == "ok" ||
+         terminator.rfind("err resource-exhausted", 0) == 0;
+}
+
+// Polls `done` until it holds or ten seconds pass.
+bool WaitUntil(const std::function<bool()>& done) {
+  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!done()) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::yield();
+  }
+  return true;
+}
+
 TEST(ServerCoreTest, SessionsExecuteFramedCommands) {
   ServerCore core(Alphabet::Binary());
   Result<int64_t> id = core.OpenSession();
@@ -51,9 +87,8 @@ TEST(ServerCoreTest, SessionsExecuteFramedCommands) {
             "{(\"ab\"), (\"ba\")}   (2 tuples)\nok\n");
   EXPECT_EQ(core.Execute(*id, "drop Nope"),
             "err not-found relation 'Nope' not in database\n");
-  // A bare `safe` must produce a framed error line, never an orphaned
-  // response (regression: the slice past end-of-line threw inside the
-  // pool worker and this Execute blocked forever).
+  // A bare `safe` must produce a framed error line, never an escaped
+  // exception (regression: the slice past end-of-line threw).
   EXPECT_EQ(Terminator(core.Execute(*id, "safe")).rfind("err ", 0), 0u);
 
   ASSERT_TRUE(core.CloseSession(*id).ok());
@@ -90,57 +125,6 @@ TEST(ServerCoreTest, SessionLimitRejectsTyped) {
   EXPECT_EQ(third.status().code(), StatusCode::kResourceExhausted);
   EXPECT_NE(third.status().ToString().find("session limit (2)"),
             std::string::npos);
-}
-
-TEST(ServerCoreTest, QueueDepthBoundRejectsTyped) {
-  ServerOptions options;
-  options.num_workers = 1;
-  options.max_queue_depth = 1;
-  ServerCore core(Alphabet::Binary(), options);
-  Result<int64_t> id = core.OpenSession();
-  ASSERT_TRUE(id.ok());
-  // All 64 binary words of length 6: the triple self-join below emits
-  // 64^3 = 262144 rows, which keeps the single worker busy for orders
-  // of magnitude longer than the two Dispatch calls racing it.
-  std::string rel = "rel R";
-  for (int w = 0; w < 64; ++w) {
-    rel += ' ';
-    for (int bit = 5; bit >= 0; --bit) rel += (w >> bit) & 1 ? 'b' : 'a';
-  }
-  EXPECT_EQ(core.Execute(*id, rel), "defined R/1 with 64 tuples\nok\n");
-  EXPECT_EQ(core.Execute(*id, "budget ms 300"),
-            "budget: steps=- rows=- ms=300 bytes=-\nok\n");
-  std::string slow_response, queued_response;
-  bool slow_done = false, queued_done = false;
-  core.Dispatch(*id, "x, y, z | R(x) & R(y) & R(z)", [&](std::string r) {
-    slow_response = std::move(r);
-    slow_done = true;
-  });
-  // Wait for the worker to pick the slow query up, so the queue is
-  // empty again and the next dispatch is the one that gets queued.
-  while (core.queue_depth() > 0) {
-  }
-  core.Dispatch(*id, "ping", [&](std::string r) {
-    queued_response = std::move(r);
-    queued_done = true;
-  });
-  // Queue now holds one command (its bound): the next one must be
-  // rejected inline, typed, without disconnecting anything.
-  std::string rejected;
-  core.Dispatch(*id, "ping", [&](std::string r) { rejected = std::move(r); });
-  EXPECT_EQ(rejected,
-            "err resource-exhausted admission: dispatch queue full (1 "
-            "command(s) already waiting); retry later\n");
-  ASSERT_TRUE(core.Drain().ok());  // waits for both dispatched commands
-  ASSERT_TRUE(slow_done && queued_done);
-  EXPECT_EQ(queued_response, "pong\nok\n");
-  // The contract under pressure: the heavy query either completes (its
-  // answer ends in `ok`) or dies typed at its deadline — never wrong
-  // tuples, never a hang.
-  std::string terminator = Terminator(slow_response);
-  EXPECT_TRUE(terminator == "ok" ||
-              terminator.find("err resource-exhausted") == 0)
-      << terminator;
 }
 
 TEST(ServerCoreTest, GlobalBudgetRejectsTyped) {
@@ -216,7 +200,7 @@ TEST(ServerCoreTest, DrainStopsIntakeTyped) {
   ServerCore core(Alphabet::Binary());
   Result<int64_t> id = core.OpenSession();
   ASSERT_TRUE(id.ok());
-  ASSERT_TRUE(core.Drain().ok());
+  core.Drain();
   EXPECT_TRUE(core.draining());
   // New sessions are refused...
   Result<int64_t> late = core.OpenSession();
@@ -225,7 +209,44 @@ TEST(ServerCoreTest, DrainStopsIntakeTyped) {
   // ...and commands get a response line, not a dropped connection.
   EXPECT_EQ(core.Execute(*id, "ping"), "err unavailable server is draining\n");
   // Idempotent.
-  EXPECT_TRUE(core.Drain().ok());
+  core.Drain();
+}
+
+TEST(ServerCoreTest, DrainWaitsForRunningAndWaitingCommands) {
+  ServerOptions options;
+  options.num_workers = 1;
+  ServerCore core(Alphabet::Binary(), options);
+  Result<int64_t> a = core.OpenSession();
+  Result<int64_t> b = core.OpenSession();
+  ASSERT_TRUE(a.ok() && b.ok());
+  ASSERT_EQ(core.Execute(*a, AllWords("R", 6)),
+            "defined R/1 with 64 tuples\nok\n");
+  const int64_t ids[2] = {*a, *b};
+  for (int64_t id : ids) {
+    ASSERT_EQ(core.Execute(id, "budget ms 200"),
+              "budget: steps=- rows=- ms=200 bytes=-\nok\n");
+  }
+  Counter* commands = MetricsRegistry::Global().GetCounter("server.commands");
+  const int64_t commands0 = commands->value();
+
+  // One permit: one slow join runs while the other waits for it.
+  std::string responses[2];
+  std::vector<std::thread> callers;
+  for (int i = 0; i < 2; ++i) {
+    callers.emplace_back(
+        [&, i] { responses[i] = core.Execute(ids[i], kSlowJoin); });
+  }
+  EXPECT_TRUE(WaitUntil([&core] { return core.queue_depth() == 1; }));
+  core.Drain();
+  // Both commands finished before Drain returned: each is counted
+  // before its caller releases the permit.
+  EXPECT_EQ(commands->value(), commands0 + 2);
+  EXPECT_EQ(core.queue_depth(), 0);
+  for (std::thread& t : callers) t.join();
+  for (const std::string& response : responses) {
+    EXPECT_TRUE(OkOrExhausted(response)) << Terminator(response);
+  }
+  EXPECT_EQ(core.Execute(*a, "ping"), "err unavailable server is draining\n");
 }
 
 TEST(ServerCoreTest, MetricsVerbExposesServerCounters) {
@@ -352,17 +373,12 @@ TEST(ServerCoreTest, RequestDeadlineCancelsTyped) {
   ServerCore core(Alphabet::Binary(), options);
   Result<int64_t> id = core.OpenSession();
   ASSERT_TRUE(id.ok());
-  // All 64 binary words of length 6; the triple self-join's 262144 rows
-  // take far longer than 50ms to enumerate.
-  std::string rel = "rel R";
-  for (int w = 0; w < 64; ++w) {
-    rel += ' ';
-    for (int bit = 5; bit >= 0; --bit) rel += (w >> bit) & 1 ? 'b' : 'a';
-  }
-  ASSERT_EQ(core.Execute(*id, rel), "defined R/1 with 64 tuples\nok\n");
+  // The triple self-join takes far longer than 50ms.
+  ASSERT_EQ(core.Execute(*id, AllWords("R", 6)),
+            "defined R/1 with 64 tuples\nok\n");
   MetricsRegistry& reg = MetricsRegistry::Global();
   int64_t exceeded0 = reg.GetCounter("server.deadline_exceeded")->value();
-  std::string response = core.Execute(*id, "x, y, z | R(x) & R(y) & R(z)");
+  std::string response = core.Execute(*id, kSlowJoin);
   EXPECT_EQ(Terminator(response).rfind("err deadline-exceeded", 0), 0u)
       << response;
   EXPECT_EQ(reg.GetCounter("server.deadline_exceeded")->value(),
@@ -381,15 +397,11 @@ TEST(ServerCoreTest, SessionBudgetTighterThanRequestDeadlineStaysTyped) {
   ServerCore core(Alphabet::Binary(), options);
   Result<int64_t> id = core.OpenSession();
   ASSERT_TRUE(id.ok());
-  std::string rel = "rel R";
-  for (int w = 0; w < 64; ++w) {
-    rel += ' ';
-    for (int bit = 5; bit >= 0; --bit) rel += (w >> bit) & 1 ? 'b' : 'a';
-  }
-  ASSERT_EQ(core.Execute(*id, rel), "defined R/1 with 64 tuples\nok\n");
+  ASSERT_EQ(core.Execute(*id, AllWords("R", 6)),
+            "defined R/1 with 64 tuples\nok\n");
   ASSERT_EQ(core.Execute(*id, "budget ms 30"),
             "budget: steps=- rows=- ms=30 bytes=-\nok\n");
-  std::string response = core.Execute(*id, "x, y, z | R(x) & R(y) & R(z)");
+  std::string response = core.Execute(*id, kSlowJoin);
   EXPECT_EQ(Terminator(response).rfind("err resource-exhausted", 0), 0u)
       << response;
 }
@@ -422,8 +434,10 @@ std::string ReadResponse(int fd, int deadline_ms = 5000) {
     ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
     if (n <= 0) return buffer;
     buffer.append(chunk, static_cast<size_t>(n));
-    size_t last = buffer.rfind('\n');
-    if (last == std::string::npos) continue;
+    // Every response ends in a newline; checking that first keeps a
+    // megabyte-long answer line from being rescanned on every chunk.
+    if (buffer.back() != '\n') continue;
+    size_t last = buffer.size() - 1;
     size_t start = buffer.rfind('\n', last == 0 ? 0 : last - 1);
     start = start == std::string::npos ? 0 : start + 1;
     std::string line = buffer.substr(start, last - start);
@@ -450,7 +464,7 @@ TEST(TcpServerTest, ByteAtATimeClientGetsAWholeResponse) {
   EXPECT_EQ(tcp::ReadResponse(fd), "defined R/1 with 2 tuples\nok\n");
   ::close(fd);
   server.RequestStop();
-  ASSERT_TRUE(server.Stop().ok());
+  server.Stop();
   serve.join();
 }
 
@@ -485,7 +499,7 @@ TEST(TcpServerTest, MidCommandStallerGetsTypedTimeoutNotAHungThread) {
   EXPECT_EQ(tcp::ReadResponse(fd2), "pong\nok\n");
   ::close(fd2);
   server.RequestStop();
-  ASSERT_TRUE(server.Stop().ok());
+  server.Stop();
   serve.join();
 }
 
@@ -505,7 +519,7 @@ TEST(TcpServerTest, IdleConnectionIsNotCutByTheReadDeadline) {
   EXPECT_EQ(tcp::ReadResponse(fd), "pong\nok\n");
   ::close(fd);
   server.RequestStop();
-  ASSERT_TRUE(server.Stop().ok());
+  server.Stop();
   serve.join();
 }
 
@@ -531,7 +545,54 @@ TEST(TcpServerTest, EofMidCommandDiscardsThePartialLine) {
   EXPECT_EQ(tcp::ReadResponse(setup), "{(\"ab\")}   (1 tuples)\nok\n");
   ::close(setup);
   server.RequestStop();
-  ASSERT_TRUE(server.Stop().ok());
+  server.Stop();
+  serve.join();
+}
+
+TEST(TcpServerTest, QueueDepthBoundRejectsTyped) {
+  ServerOptions options;
+  options.num_workers = 1;
+  options.max_queue_depth = 1;
+  ServerCore core(Alphabet::Binary(), options);
+  TcpServer server(&core);
+  ASSERT_TRUE(server.Listen(0).ok());
+  std::thread serve([&] { server.Serve(); });
+
+  int slow[2] = {tcp::Dial(server.port()), tcp::Dial(server.port())};
+  const std::string rel = AllWords("R", 6) + "\n";
+  ASSERT_EQ(::send(slow[0], rel.data(), rel.size(), 0),
+            static_cast<ssize_t>(rel.size()));
+  EXPECT_EQ(tcp::ReadResponse(slow[0]), "defined R/1 with 64 tuples\nok\n");
+  for (int fd : slow) {
+    ASSERT_EQ(::send(fd, "budget ms 300\n", 14, 0), 14);
+    EXPECT_EQ(tcp::ReadResponse(fd),
+              "budget: steps=- rows=- ms=300 bytes=-\nok\n");
+  }
+  const std::string join = std::string(kSlowJoin) + "\n";
+  for (int fd : slow) {
+    ASSERT_EQ(::send(fd, join.data(), join.size(), 0),
+              static_cast<ssize_t>(join.size()));
+  }
+  // One slow join holds the only permit and the other waits for it:
+  // the queue is at its bound, so a third connection's command is
+  // rejected typed, on the response stream.
+  EXPECT_TRUE(WaitUntil([&core] { return core.queue_depth() == 1; }));
+  int third = tcp::Dial(server.port());
+  ASSERT_EQ(::send(third, "ping\n", 5, 0), 5);
+  EXPECT_EQ(tcp::ReadResponse(third),
+            "err resource-exhausted admission: dispatch queue full (1 "
+            "command(s) already waiting); retry later\n");
+  for (int fd : slow) {
+    std::string response = tcp::ReadResponse(fd, 30000);
+    EXPECT_TRUE(OkOrExhausted(response)) << Terminator(response);
+    ::close(fd);
+  }
+  // The rejection cost the client nothing: the same socket is served.
+  ASSERT_EQ(::send(third, "ping\n", 5, 0), 5);
+  EXPECT_EQ(tcp::ReadResponse(third), "pong\nok\n");
+  ::close(third);
+  server.RequestStop();
+  server.Stop();
   serve.join();
 }
 
@@ -558,29 +619,31 @@ TEST(ServerCoreTest, DrainDuringActivePagedScanIsPinSafe) {
   Result<int64_t> id = core.OpenSession();
   ASSERT_TRUE(id.ok());
   // A relation big enough to spill and to keep a scan busy.
-  std::string rel = "rel Big";
-  for (int w = 0; w < 256; ++w) {
-    rel += ' ';
-    for (int bit = 7; bit >= 0; --bit) rel += (w >> bit) & 1 ? 'b' : 'a';
-  }
-  ASSERT_EQ(Terminator(core.Execute(*id, rel)).rfind("ok", 0), 0u);
+  ASSERT_EQ(Terminator(core.Execute(*id, AllWords("Big", 8))), "ok");
   int persisted = 0;
   int64_t generation = 0;
   ASSERT_TRUE(
       core.catalog().CheckpointDurable(&persisted, &generation, nullptr).ok());
 
-  // Dispatch a self-join over the paged relation (a long streaming
-  // scan), then immediately drain and close the store while it runs.
-  std::atomic<bool> done{false};
+  // Run a self-join over the paged relation (a long streaming scan) on
+  // a caller thread, and drain once the scan has pinned pages.
   std::string response;
-  core.Dispatch(*id, "x, y | Big(x) & Big(y)", [&](std::string r) {
-    response = std::move(r);
-    done.store(true);
-  });
-  while (core.queue_depth() > 0) {
-  }
-  ASSERT_TRUE(core.Drain().ok());  // waits for the in-flight command
-  ASSERT_TRUE(done.load());
+  auto pager = [&core] {
+    PagerStats stats;
+    int64_t capacity = 0;
+    size_t spilled = 0;
+    EXPECT_TRUE(core.catalog().PagerStatus(&stats, &capacity, &spilled));
+    return stats;
+  };
+  // Every Pin counts one hit or one miss: once their sum moves, the scan
+  // has started pinning pages and the command is in flight.
+  const int64_t pins0 = pager().hits + pager().misses;
+  std::thread caller(
+      [&] { response = core.Execute(*id, "x, y | Big(x) & Big(y)"); });
+  EXPECT_TRUE(WaitUntil([&] { return pager().hits + pager().misses > pins0; }));
+  core.Drain();  // waits for the in-flight command
+  EXPECT_EQ(pager().bytes_pinned, 0);
+  caller.join();
   // The query either finished or died typed; the process did not crash
   // on a dangling pool and the pins all returned.
   std::string terminator = Terminator(response);
