@@ -44,8 +44,9 @@ struct QueryOptions {
   // CatalogStore::PagedDb() here.
   const PagedSet* paged = nullptr;
   // Per-relation statistics for the cost-based planner (not owned; must
-  // outlive the execution).  Advisory: estimates only, never answers.
-  // The shell/server thread CatalogStore::StatsSnapshot() here.
+  // outlive the execution), see EvalOptions::stats.  Advisory: estimates
+  // only, never answers.  The shell/server thread the spilled relations'
+  // statistics from SharedCatalog::SnapshotState here.
   const StatsMap* relation_stats = nullptr;
 };
 

@@ -13,21 +13,21 @@ using Kind = AlgebraExpr::Kind;
 
 constexpr double kRowCap = 1e18;
 
-// Resolves statistics for relation `name`: the live Database first
-// (epoch-cached), then the persisted map (paged relations).  The
-// aliasing constructor keeps stored entries usable without copying.
+// Resolves statistics for relation `name`: the supplied map first
+// (spilled relations, in serving), then the live Database (epoch-
+// cached).  The aliasing constructor keeps supplied entries usable
+// without copying.
 std::shared_ptr<const RelationStats> LookupStats(
     const std::string& name, const CostPlannerContext& ctx) {
-  if (ctx.stats != nullptr && ctx.db != nullptr) {
-    std::shared_ptr<const RelationStats> live = ctx.stats->Get(*ctx.db, name);
-    if (live != nullptr) return live;
-  }
   if (ctx.stored_stats != nullptr) {
     auto it = ctx.stored_stats->find(name);
     if (it != ctx.stored_stats->end()) {
       return std::shared_ptr<const RelationStats>(
           std::shared_ptr<const StatsMap>(), &it->second);
     }
+  }
+  if (ctx.stats != nullptr && ctx.db != nullptr) {
+    return ctx.stats->Get(*ctx.db, name);
   }
   return nullptr;
 }

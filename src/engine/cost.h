@@ -28,9 +28,10 @@ struct CostModel {
 struct CostPlannerContext {
   const Database* db = nullptr;
   const PagedSet* paged = nullptr;
-  // Persisted statistics from the durable catalog (covers paged
-  // relations); consulted before recomputing from the Database.
+  // Supplied statistics (EvalOptions::stats; in serving, the durable
+  // store's spilled relations).  An entry here wins over `stats`.
   const StatsMap* stored_stats = nullptr;
+  // Summaries of the Database's own relations, computed on demand.
   StatsCatalog* stats = nullptr;
   SelectivityFeedback* feedback = nullptr;
   DensityCache* densities = nullptr;

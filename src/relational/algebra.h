@@ -135,12 +135,13 @@ struct EvalOptions {
   // looked up here and materialised (the naive evaluator is the oracle —
   // only the engine's PagedScan streams).  Not owned; nullptr = none.
   const PagedSet* paged = nullptr;
-  // Persisted relation statistics (from the durable catalog's snapshot)
-  // for the cost-based planner: covers paged relations the in-memory
-  // Database cannot summarise, and spares re-scanning inline ones.
-  // Advisory only — never consulted for answers, so stale entries cost
-  // plan quality, not correctness.  Not owned; nullptr = recompute from
-  // the Database on demand.
+  // Relation statistics for the cost-based planner.  An entry here wins
+  // over the engine's own summary of the Database; a relation without
+  // one is summarised from its tuples on demand.  Serving passes the
+  // durable store's statistics of spilled relations, which the
+  // in-memory Database cannot summarise.  Advisory only — never
+  // consulted for answers, so stale entries cost plan quality, not
+  // correctness.  Not owned; nullptr = none supplied.
   const StatsMap* stats = nullptr;
 };
 

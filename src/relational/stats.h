@@ -4,41 +4,27 @@
 #include <array>
 #include <cstdint>
 #include <map>
-#include <set>
 #include <string>
+#include <vector>
 
 #include "core/result.h"
 #include "relational/relation.h"
 
 namespace strdb {
 
-// Per-column summaries of a string relation, the planner's raw material:
-// length histogram (expected string length sizes Σ* generation and the
-// DFA acceptance-density chain), per-byte character frequency (weights
-// the density walk's transitions), and a bounded distinct-prefix set
-// (run locality for the paged scans).  All fields are additive over
-// tuple inserts, so incremental maintenance and recomputation agree —
-// the prefix set keeps the lexicographically smallest `kMaxPrefixes`
-// members, which is insertion-order independent.
+// Per-column summaries of a string relation, the cost planner's raw
+// material: the total string length (its mean sizes Σ* generation and
+// the DFA acceptance-density chain) and per-byte character frequency
+// (weights the density walk's transitions).  Nothing else is kept,
+// because the planner reads nothing else.
 struct ColumnStats {
-  // Lengths 0..15 bucket exactly; everything longer lands in the last.
-  static constexpr int kLenBuckets = 17;
-  static constexpr int kPrefixBytes = 4;
-  static constexpr int kMaxPrefixes = 4096;
-
   int64_t total_chars = 0;
-  int64_t max_len = 0;
-  std::array<int64_t, kLenBuckets> len_hist{};
   std::array<int64_t, 256> char_freq{};
-  // Distinct first-min(kPrefixBytes,|w|) byte prefixes; saturated means
-  // more than kMaxPrefixes were seen and only the smallest are kept.
-  std::set<std::string> prefixes;
-  bool prefixes_saturated = false;
 
   // Mean string length over `rows` strings (0 for an empty column).
   double ExpectedLength(int64_t rows) const;
 
-  bool operator==(const ColumnStats& other) const;
+  bool operator==(const ColumnStats& other) const = default;
 };
 
 // Statistics for one relation: cardinality plus per-column summaries.
@@ -47,27 +33,21 @@ struct RelationStats {
   int64_t rows = 0;
   std::vector<ColumnStats> columns;
 
-  bool operator==(const RelationStats& other) const;
+  bool operator==(const RelationStats& other) const = default;
 };
 
-// A catalog's worth of statistics, keyed by relation name — the unit the
-// storage layer persists and snapshots publish.
+// Statistics keyed by relation name.  The durable store keeps one for
+// its spilled relations, whose tuples are not in memory; the engine's
+// StatsCatalog summarises in-memory relations on demand.
 using StatsMap = std::map<std::string, RelationStats>;
 
-// Full recomputation from the relation's tuples.
+// Computes the statistics of `relation` in one pass over its tuples.
 RelationStats ComputeRelationStats(const StringRelation& relation);
-// Same, from a raw tuple list (the WAL-replay path, which has the op's
-// tuples in hand but not yet a StringRelation).
-RelationStats ComputeRelationStats(int arity, const std::vector<Tuple>& tuples);
 
-// Incremental maintenance: folds `tuples` (all of `stats->arity`) into
-// existing statistics.  Equivalent to recomputing over the union as long
-// as the tuples are actually new to the relation.
-void AddTuplesToStats(RelationStats* stats, const std::vector<Tuple>& tuples);
-
-// Deterministic, binary-safe text codec (strings are length-prefixed),
-// byte-identical across encode→decode→encode — the storage layer relies
-// on this for exact round-trips through snapshots.
+// Deterministic text codec, byte-identical across encode→decode→encode.
+// The encoder writes version 2; the decoder also reads version 1, whose
+// length histogram, maximum length and prefix set it skips.  Malformed
+// text, out-of-range numbers and negative counts give kInvalidArgument.
 std::string EncodeRelationStats(const RelationStats& stats);
 Result<RelationStats> DecodeRelationStats(const std::string& text);
 

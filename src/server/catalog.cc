@@ -10,7 +10,6 @@ namespace strdb {
 SharedCatalog::SharedCatalog(Alphabet alphabet)
     : alphabet_(std::move(alphabet)), db_(alphabet_) {
   snapshot_ = std::make_shared<const Database>(db_);
-  stats_snapshot_ = std::make_shared<const StatsMap>();
 }
 
 std::shared_ptr<const Database> SharedCatalog::Snapshot() const {
@@ -35,6 +34,8 @@ void SharedCatalog::SnapshotState(
     std::shared_ptr<const StatsMap>* stats) const {
   static const std::shared_ptr<const PagedSet> kEmptyPaged =
       std::make_shared<const PagedSet>();
+  static const std::shared_ptr<const StatsMap> kEmptyStats =
+      std::make_shared<const StatsMap>();
   std::lock_guard<std::mutex> lock(snapshot_mu_);
   if (live_store_ != nullptr) {
     live_store_->SnapshotState(db, paged, stats);
@@ -42,7 +43,7 @@ void SharedCatalog::SnapshotState(
   }
   *db = snapshot_;
   *paged = kEmptyPaged;
-  if (stats != nullptr) *stats = stats_snapshot_;
+  if (stats != nullptr) *stats = kEmptyStats;
 }
 
 void SharedCatalog::set_store_options(const StoreOptions& options) {
@@ -64,16 +65,8 @@ bool SharedCatalog::PagerStatus(PagerStats* stats, int64_t* capacity_bytes,
 
 void SharedCatalog::PublishLocked() {
   auto fresh = std::make_shared<const Database>(db_);
-  // Recomputing stats on publish matches the cost of the catalog copy
-  // itself (both walk every tuple); the store path maintains them
-  // incrementally instead.
-  auto fresh_stats = std::make_shared<StatsMap>();
-  for (const auto& [name, rel] : db_.relations()) {
-    (*fresh_stats)[name] = ComputeRelationStats(rel);
-  }
   std::lock_guard<std::mutex> lock(snapshot_mu_);
   snapshot_ = std::move(fresh);
-  stats_snapshot_ = std::move(fresh_stats);
 }
 
 Status SharedCatalog::PutRelation(const std::string& name, int arity,

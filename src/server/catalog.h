@@ -52,9 +52,11 @@ class SharedCatalog {
   // moves it between the two atomically w.r.t. this call.
   void SnapshotState(std::shared_ptr<const Database>* db,
                      std::shared_ptr<const PagedSet>* paged) const;
-  // Same, plus the relation-statistics snapshot published in lockstep
-  // (never null; without a durable store the stats are recomputed on
-  // each publish from the in-memory catalog).  Pass nullptr to skip.
+  // Same, plus the statistics of the spilled relations, published in
+  // lockstep by the attached store (never null; empty without a durable
+  // store, which is the only place relations spill).  In-memory
+  // relations have no entry: the engine summarises them itself.  Pass
+  // nullptr to skip.
   void SnapshotState(std::shared_ptr<const Database>* db,
                      std::shared_ptr<const PagedSet>* paged,
                      std::shared_ptr<const StatsMap>* stats) const;
@@ -147,7 +149,6 @@ class SharedCatalog {
   // created/destroyed, so readers never touch a dying store.
   mutable std::mutex snapshot_mu_;
   std::shared_ptr<const Database> snapshot_;
-  std::shared_ptr<const StatsMap> stats_snapshot_;
   CatalogStore* live_store_ = nullptr;
 };
 

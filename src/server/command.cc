@@ -3,7 +3,6 @@
 #include <cstdarg>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <optional>
 #include <sstream>
@@ -382,14 +381,13 @@ Status CommandProcessor::Execute(const std::string& line, std::string* out) {
       return Status::InvalidArgument("malformed request tag '" + tag +
                                      "' (want CLIENT:SEQ)");
     }
-    char* end = nullptr;
-    unsigned long long seq = std::strtoull(tag.c_str() + colon + 1, &end, 10);
-    if (end == tag.c_str() + colon + 1 || *end != '\0') {
+    std::optional<int64_t> seq = ParseDecimal(tag.substr(colon + 1), INT64_MAX);
+    if (!seq.has_value()) {
       return Status::InvalidArgument("malformed request sequence in '" + tag +
                                      "'");
     }
     req.client = tag.substr(0, colon);
-    req.seq = static_cast<uint64_t>(seq);
+    req.seq = static_cast<uint64_t>(*seq);
     // Cut the first two whitespace-delimited tokens off the raw line so
     // free-text commands (queries) keep their spacing.
     size_t pos = line.find_first_not_of(" \t");

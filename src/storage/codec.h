@@ -23,7 +23,7 @@ struct CatalogOp {
     kSpill,   // snapshot-only: relation lives out-of-core in a heap file
     kReqId,   // snapshot-only: one client's highest applied request seq
     kLost,    // snapshot-only: relation quarantined after scrub/corruption
-    kStats,   // snapshot-only: persisted statistics of one relation
+    kStats,   // snapshot-only: persisted statistics of a spilled relation
   };
 
   Kind kind = kPut;

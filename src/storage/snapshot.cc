@@ -210,8 +210,9 @@ Status ReadSnapshot(Env* env, const std::string& path, Database* db,
     if ((op.kind == CatalogOp::kSpill || op.kind == CatalogOp::kReqId ||
          op.kind == CatalogOp::kLost || op.kind == CatalogOp::kStats) &&
         spills != nullptr) {
-      // kStats legitimately names an inline relation (its statistics);
-      // only the relation-shaped side-ops are exclusive with inline.
+      // kStats written by older stores may name an inline relation (the
+      // store prunes it at open); only the relation-shaped side-ops are
+      // exclusive with inline.
       if (op.kind != CatalogOp::kReqId && op.kind != CatalogOp::kStats &&
           db->Has(op.name)) {
         return Status::DataLoss("snapshot '" + path + "': relation '" +

@@ -265,11 +265,6 @@ void CatalogStore::SnapshotState(std::shared_ptr<const Database>* db,
   if (stats != nullptr) *stats = stats_snapshot_;
 }
 
-std::shared_ptr<const StatsMap> CatalogStore::StatsSnapshot() const {
-  std::lock_guard<std::mutex> lock(snapshot_mu_);
-  return stats_snapshot_;
-}
-
 void CatalogStore::PublishSnapshotLocked() {
   // Copy outside snapshot_mu_ so readers grabbing the previous snapshot
   // only ever wait behind a pointer swap, never behind the copy.
@@ -305,6 +300,7 @@ void CatalogStore::DiscardPagedLocked(const std::string& name) {
   // when quarantined); dropping or replacing it just clears the marker.
   lost_ops_.erase(name);
   paged_.erase(name);
+  stats_.erase(name);
 }
 
 bool CatalogStore::AlreadyAppliedLocked(const ReqId& req) const {
@@ -425,8 +421,8 @@ Status CatalogStore::OpenInternal(RecoveryReport* report) {
     }
     if (op.kind == CatalogOp::kStats) {
       // Statistics are advisory: an op that does not decode is dropped
-      // (the relation just plans without stats, or gets them recomputed
-      // below) instead of failing recovery.
+      // (the relation just plans from its heap's tuple count) instead
+      // of failing recovery.
       Result<RelationStats> decoded = DecodeRelationStats(op.stats_text);
       if (decoded.ok()) stats_[op.name] = std::move(*decoded);
       continue;
@@ -501,10 +497,6 @@ Status CatalogStore::OpenInternal(RecoveryReport* report) {
     for (const WalRecord& record : salvage.records) {
       Result<CatalogOp> op = DecodeOp(record.payload);
       Status applied;
-      // For kInsert: the subset of the batch not already present before
-      // the op applies — the tuples the set-semantics insert will
-      // actually add, which is what the stats update below must count.
-      std::vector<Tuple> fresh_inserts;
       if (!op.ok()) {
         applied = op.status();
       } else if (op->kind == CatalogOp::kDrop && paged_.count(op->name) > 0) {
@@ -531,17 +523,6 @@ Status CatalogStore::OpenInternal(RecoveryReport* report) {
                    paged_.count(op->name) > 0) {
           STRDB_RETURN_IF_ERROR(MaterializePagedLocked(op->name));
         }
-        if (op->kind == CatalogOp::kInsert) {
-          auto existing = db_.Get(op->name);
-          if (existing.ok()) {
-            std::set<Tuple> batch_seen;
-            for (const Tuple& t : op->tuples) {
-              if (!(*existing)->Contains(t) && batch_seen.insert(t).second) {
-                fresh_inserts.push_back(t);
-              }
-            }
-          }
-        }
         applied = ApplyOp(*op, db_.alphabet(), &db_, &automata_);
       }
       if (!applied.ok()) {
@@ -562,28 +543,6 @@ Status CatalogStore::OpenInternal(RecoveryReport* report) {
         uint64_t& cur = applied_reqs_[op->req_client];
         if (op->req_seq > cur) cur = op->req_seq;
       }
-      // Rebuild statistics alongside the catalog, the same incremental
-      // way the live writer maintained them — so a reopened store's
-      // stats equal the ones a non-crashing run would hold.
-      if (op.ok()) {
-        switch (op->kind) {
-          case CatalogOp::kPut:
-            stats_[op->name] = ComputeRelationStats(op->arity, op->tuples);
-            break;
-          case CatalogOp::kInsert: {
-            auto sit = stats_.find(op->name);
-            if (sit != stats_.end()) {
-              AddTuplesToStats(&sit->second, fresh_inserts);
-            }
-            break;
-          }
-          case CatalogOp::kDrop:
-            stats_.erase(op->name);
-            break;
-          default:
-            break;  // kLost handled by MarkLostLocked; others carry none
-        }
-      }
       ++report->wal_records_replayed;
     }
     if (cut_at < salvage.file_bytes) {
@@ -596,17 +555,13 @@ Status CatalogStore::OpenInternal(RecoveryReport* report) {
     wal_committed_bytes = cut_at;
   }
 
-  // Reconcile statistics with the recovered catalog: inline relations
-  // missing stats (a store from before stats existed, or a dropped
-  // kStats op) are recomputed from their tuples; entries whose relation
-  // no longer exists are pruned.  Spilled relations without stats stay
-  // without — recomputing would mean scanning the whole heap, and the
-  // planner degrades gracefully to the heap's tuple count.
-  for (const auto& [name, rel] : db_.relations()) {
-    if (stats_.count(name) == 0) stats_[name] = ComputeRelationStats(rel);
-  }
+  // Keep statistics for spilled relations only: older snapshots also
+  // carry kStats ops for inline relations, which the engine summarises
+  // from their tuples instead.  A spilled relation without statistics
+  // stays without — recomputing would mean scanning the whole heap, and
+  // the planner degrades gracefully to the heap's tuple count.
   for (auto it = stats_.begin(); it != stats_.end();) {
-    if (!db_.Has(it->first) && spill_ops_.count(it->first) == 0) {
+    if (spill_ops_.count(it->first) == 0) {
       it = stats_.erase(it);
     } else {
       ++it;
@@ -669,11 +624,9 @@ Status CatalogStore::PutRelation(const std::string& name, int arity,
   }
   std::string payload = EncodePut(name, rel);
   AppendReqTagLine(&payload, req.client, req.seq);
-  RelationStats stats = ComputeRelationStats(rel);
   STRDB_RETURN_IF_ERROR(CommitPayload(payload));
   if (paged_.count(name) > 0) DiscardPagedLocked(name);  // put replaces
   STRDB_RETURN_IF_ERROR(db_.Put(name, std::move(rel)));
-  stats_[name] = std::move(stats);
   RecordReqLocked(req);
   PublishSnapshotLocked();
   return Status::OK();
@@ -719,27 +672,7 @@ Status CatalogStore::InsertTuples(const std::string& name,
   }
   std::string payload = EncodeInsert(name, tuples);
   AppendReqTagLine(&payload, req.client, req.seq);
-  // Statistics only count tuples the set-semantics insert will actually
-  // add, so incremental maintenance stays exactly equal to recomputing
-  // from the relation (the planner differential target pins this).
-  std::vector<Tuple> fresh;
-  {
-    std::set<Tuple> batch_seen;
-    for (const Tuple& t : tuples) {
-      if (!rel->Contains(t) && batch_seen.insert(t).second) fresh.push_back(t);
-    }
-  }
   STRDB_RETURN_IF_ERROR(CommitPayload(payload));
-  auto sit = stats_.find(name);
-  if (sit != stats_.end()) {
-    AddTuplesToStats(&sit->second, fresh);
-  } else {
-    // No stats yet (store predates them): seed from the full relation,
-    // which after this insert means old tuples + the new batch.
-    RelationStats seeded = ComputeRelationStats(*rel);
-    AddTuplesToStats(&seeded, fresh);
-    stats_[name] = std::move(seeded);
-  }
   STRDB_RETURN_IF_ERROR(db_.InsertTuples(name, std::move(tuples)));
   RecordReqLocked(req);
   PublishSnapshotLocked();
@@ -770,7 +703,6 @@ Status CatalogStore::DropRelation(const std::string& name, const ReqId& req,
   } else {
     STRDB_RETURN_IF_ERROR(db_.Remove(name));
   }
-  stats_.erase(name);
   RecordReqLocked(req);
   PublishSnapshotLocked();
   return Status::OK();
@@ -805,6 +737,7 @@ Status CatalogStore::Checkpoint() {
   // Nothing in db_/paged_ mutates until the whole checkpoint commits.
   std::vector<CatalogOp> new_spill_ops;
   std::map<std::string, std::shared_ptr<const TupleSource>> new_paged;
+  StatsMap new_stats;
   if (options_.spill_threshold_bytes > 0) {
     int64_t seq = 0;
     for (const auto& [name, rel] : db_.relations()) {
@@ -821,6 +754,7 @@ Status CatalogStore::Checkpoint() {
       STRDB_RETURN_IF_ERROR(RetryIo(env_, options_.retry, &io_retries_, [&] {
         return env_->Rename(tmp, dir_ + "/" + op.file);
       }));
+      new_stats[name] = ComputeRelationStats(rel);
       new_spill_ops.push_back(std::move(op));
     }
     if (!new_spill_ops.empty()) {
@@ -841,7 +775,8 @@ Status CatalogStore::Checkpoint() {
   // idempotent-request window as one kReqId record per client.
   std::vector<CatalogOp> spills;
   spills.reserve(spill_ops_.size() + new_spill_ops.size() +
-                 lost_ops_.size() + applied_reqs_.size() + stats_.size());
+                 lost_ops_.size() + applied_reqs_.size() + stats_.size() +
+                 new_stats.size());
   for (const auto& [name, op] : spill_ops_) spills.push_back(op);
   for (const CatalogOp& op : new_spill_ops) spills.push_back(op);
   for (const auto& [name, op] : lost_ops_) spills.push_back(op);
@@ -852,15 +787,16 @@ Status CatalogStore::Checkpoint() {
     op.req_seq = seq;
     spills.push_back(std::move(op));
   }
-  // Statistics ride the snapshot as kStats side-ops, one per relation
-  // (inline and spilled alike) — a reopened store plans with the exact
-  // statistics the live one held, without rescanning anything.
-  for (const auto& [name, st] : stats_) {
-    CatalogOp op;
-    op.kind = CatalogOp::kStats;
-    op.name = name;
-    op.stats_text = EncodeRelationStats(st);
-    spills.push_back(std::move(op));
+  // Spilled relations' statistics ride the snapshot as kStats side-ops,
+  // so a reopened store plans with them without rescanning any heap.
+  for (const StatsMap* map : {&stats_, &new_stats}) {
+    for (const auto& [name, st] : *map) {
+      CatalogOp op;
+      op.kind = CatalogOp::kStats;
+      op.name = name;
+      op.stats_text = EncodeRelationStats(st);
+      spills.push_back(std::move(op));
+    }
   }
 
   // 1. Materialise the snapshot file (atomic: temp + fsync + rename).
@@ -922,12 +858,13 @@ Status CatalogStore::Checkpoint() {
   env_->SyncDir(dir_);
 
   // 5. The checkpoint committed: newly spilled relations move out of
-  // db_ and become paged views.
+  // db_ and become paged views, together with their statistics.
   if (!new_spill_ops.empty()) {
     for (CatalogOp& op : new_spill_ops) {
       Status removed = db_.Remove(op.name);
       (void)removed;  // validated present during the spill phase
       paged_[op.name] = new_paged[op.name];
+      stats_[op.name] = std::move(new_stats[op.name]);
       spill_ops_[op.name] = std::move(op);
     }
     PublishSnapshotLocked();
@@ -966,6 +903,7 @@ CatalogStore::QuarantineOutcome CatalogStore::QuarantineHeap(
       if (committed.ok()) {
         spill_ops_.erase(name);
         paged_.erase(name);
+        stats_.erase(name);
         Status put = db_.Put(name, std::move(*rescued));
         (void)put;  // name was paged, so it cannot collide
         env_->Rename(dir_ + "/" + file, dir_ + "/quarantine-" + file);

@@ -157,19 +157,17 @@ class CatalogStore {
   // Both snapshots as one consistent pair: a checkpoint that spills a
   // relation moves it between the two atomically w.r.t. this call, so a
   // reader never sees a name in both maps or in neither.  The three-way
-  // overload additionally hands out the statistics snapshot published in
-  // the same instant (pass nullptr to skip it).
+  // overload additionally hands out the spilled relations' statistics,
+  // published in the same instant (pass nullptr to skip them).  Each is
+  // computed when its relation spills and persisted as a kStats
+  // snapshot side-op; inline relations have none here, because the
+  // engine summarises their tuples itself.  Advisory: the cost planner
+  // reads them, no query answer ever depends on them.  Never null.
   void SnapshotState(std::shared_ptr<const Database>* db,
                      std::shared_ptr<const PagedSet>* paged) const;
   void SnapshotState(std::shared_ptr<const Database>* db,
                      std::shared_ptr<const PagedSet>* paged,
                      std::shared_ptr<const StatsMap>* stats) const;
-  // Per-relation statistics of the current catalog (inline and spilled
-  // relations alike), maintained incrementally on every mutation and
-  // persisted through snapshots as kStats side-ops.  Advisory: the cost
-  // planner reads them, no query answer ever depends on them.  Never
-  // null (empty map when nothing has stats).
-  std::shared_ptr<const StatsMap> StatsSnapshot() const;
   // Buffer-pool counters for the shell/server `pager` verb.
   PagerStats pager_stats() const { return pool_->stats(); }
   int64_t pager_capacity_bytes() const { return pool_->capacity_bytes(); }
@@ -245,7 +243,8 @@ class CatalogStore {
   // Pulls a spilled relation back into db_ (its heap file becomes
   // garbage, reclaimed at the next checkpoint or open).  With mu_ held.
   Status MaterializePagedLocked(const std::string& name);
-  // Forgets a spilled relation without materialising (drop/replace).
+  // Forgets a spilled relation and its statistics without materialising
+  // (drop/replace).
   void DiscardPagedLocked(const std::string& name);
   // True (with the applied seq window advanced virtually) when `req`
   // was already applied; the caller must return success without
@@ -296,10 +295,11 @@ class CatalogStore {
   std::map<std::string, CatalogOp> lost_ops_;
   // Idempotent-request window: client id -> highest applied seq.
   std::map<std::string, uint64_t> applied_reqs_;
-  // Per-relation statistics, covering inline (db_) and spilled (paged_)
-  // relations.  Maintained incrementally by every mutation, rebuilt by
-  // WAL replay, persisted as kStats snapshot side-ops; a relation with
-  // no entry (old store, undecodable op) simply plans without stats.
+  // Statistics of spilled relations: every key is also a key of
+  // spill_ops_.  Computed by the checkpoint that spills the relation,
+  // persisted as kStats snapshot side-ops, erased wherever the relation
+  // stops being spilled.  A spilled relation with no entry (undecodable
+  // op) plans from its heap's tuple count.
   StatsMap stats_;
   // Heap files whose relation was dropped/replaced/materialised since
   // the last checkpoint: still referenced by the live snapshot, deleted

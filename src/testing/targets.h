@@ -300,12 +300,13 @@ class PagerDiffTarget : public DiffTarget {
 //          additionally be sane — finite, non-negative, no NaN.
 //
 //   crash  a workload of puts/inserts/drops/checkpoints runs against a
-//          CatalogStore over a MemEnv with the statistics subsystem
-//          engaged.  Oracle: the live statistics snapshot must equal a
-//          full recomputation from the recovered relations (incremental
-//          maintenance ≡ recompute), and a close + reopen — replaying
-//          the kStats snapshot ops and rebuilding the WAL suffix — must
-//          reproduce the pre-close statistics map *exactly*.
+//          CatalogStore over a MemEnv with spilling on.  Oracle: the
+//          store's statistics must cover exactly the spilled relations
+//          and equal a full recomputation from their heaps, and a
+//          close + reopen — reading the kStats snapshot ops and
+//          replaying the WAL suffix, whose inserts and drops take
+//          relations out of the spilled set — must reproduce the
+//          pre-close statistics map *exactly* and still match.
 class PlannerDiffTarget : public DiffTarget {
  public:
   enum class Mode : uint8_t { kDiff, kCrash };
@@ -327,8 +328,8 @@ class PlannerDiffTarget : public DiffTarget {
     // catalog before deletions) instead of `db`.
     bool stale_stats = false;
     Database stale_db{Alphabet::Binary()};
-    // kCrash: the mutation workload (spill threshold exercises stats
-    // for paged relations too).
+    // kCrash: the mutation workload; the spill threshold decides which
+    // relations spill and so have statistics in the store.
     std::vector<PlannerOp> ops;
     int64_t spill_threshold = 0;
   };

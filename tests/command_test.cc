@@ -222,6 +222,32 @@ TEST(CommandTest, MalformedNumbersAndSwitchesAreRejected) {
   EXPECT_FALSE(fs::exists(dir));
 }
 
+// A request sequence is a decimal that fits in int64.  A tag that would
+// wrap (-1) or saturate is refused and applies nothing, so it cannot
+// push its client's applied window past that client's later requests.
+TEST(CommandTest, MalformedRequestSequencesAreRejected) {
+  const std::string inserted = "inserted 1 tuple(s) into R\n";
+  SharedCatalog catalog(Alphabet::Binary());
+  CommandProcessor proc(&catalog);
+  RunTranscript(
+      proc,
+      {
+          {"rel R a", "defined R/1 with 1 tuples\n", true, ""},
+          {"req c:-1 insert R b", "", false,
+           "invalid-argument: malformed request sequence in 'c:-1'"},
+          {"req d:99999999999999999999999 insert R bb", "", false,
+           "invalid-argument: malformed request sequence in "
+           "'d:99999999999999999999999'"},
+          {"req d:+7 insert R bb", "", false,
+           "invalid-argument: malformed request sequence in 'd:+7'"},
+          {"req c:1 insert R ab", inserted, true, ""},
+          {"req d:7 insert R ba", inserted, true, ""},
+          {"req d:9223372036854775807 insert R bb", inserted, true, ""},
+          {"show", "R/1 = {(\"a\"), (\"ab\"), (\"ba\"), (\"bb\")}\n", true,
+           ""},
+      });
+}
+
 // Σ^l is counted before it is enumerated: a complement over Σ^{<=27}
 // (2^28 - 1 strings) is refused at once, on both evaluators, instead of
 // building every string until the allocator gives up.

@@ -655,31 +655,15 @@ TEST(EngineTest, NaiveEvaluatorHonoursTheBudgetToo) {
 
 // --- relation statistics ---------------------------------------------------
 
-TEST(RelationStatsTest, IncrementalMatchesRecompute) {
-  std::vector<Tuple> all = {{"a", ""},
-                            {"ab", "b"},
-                            {"", "ba"},
-                            {"bb", "bb"},
-                            {"aab", "a"}};
-  RelationStats incremental;
-  incremental.arity = 2;
-  incremental.columns.resize(2);
-  AddTuplesToStats(&incremental, {all[0], all[1]});
-  AddTuplesToStats(&incremental, {all[2]});
-  AddTuplesToStats(&incremental, {all[3], all[4]});
-  EXPECT_TRUE(incremental == ComputeRelationStats(2, all));
-}
-
-TEST(RelationStatsTest, InsertionOrderDoesNotMatter) {
-  std::vector<Tuple> forward = {{"a"}, {"b"}, {"ab"}, {"ba"}, {""}};
-  std::vector<Tuple> backward(forward.rbegin(), forward.rend());
-  EXPECT_TRUE(ComputeRelationStats(1, forward) ==
-              ComputeRelationStats(1, backward));
+// Statistics of the relation the codec tests encode.
+RelationStats CodecSampleStats() {
+  Result<StringRelation> rel = StringRelation::Create(
+      2, {{"a", ""}, {"ab", "b"}, {"", "ba"}, {"bb", "bb"}});
+  return ComputeRelationStats(*rel);
 }
 
 TEST(RelationStatsTest, CodecRoundTripIsByteExact) {
-  std::vector<Tuple> all = {{"a", ""}, {"ab", "b"}, {"", "ba"}, {"bb", "bb"}};
-  RelationStats stats = ComputeRelationStats(2, all);
+  RelationStats stats = CodecSampleStats();
   std::string encoded = EncodeRelationStats(stats);
   Result<RelationStats> decoded = DecodeRelationStats(encoded);
   ASSERT_TRUE(decoded.ok()) << decoded.status();
@@ -687,6 +671,92 @@ TEST(RelationStatsTest, CodecRoundTripIsByteExact) {
   EXPECT_EQ(EncodeRelationStats(*decoded), encoded);
   EXPECT_FALSE(DecodeRelationStats("not a stats blob").ok());
   EXPECT_FALSE(DecodeRelationStats("").ok());
+}
+
+// What the version 1 encoder wrote for CodecSampleStats' relation: it
+// also kept each column's maximum length, a length histogram and a
+// prefix set.
+constexpr const char* kVersionOneText =
+    "rstats 1 2 4\n"
+    "col 5 2\n"
+    "hist 1 1 2 0 0 0 0 0 0 0 0 0 0 0 0 0 0\n"
+    "freq 2 97 2 98 3\n"
+    "pfx 0 4 0: 1:a 2:ab 2:bb\n"
+    "col 5 2\n"
+    "hist 1 1 2 0 0 0 0 0 0 0 0 0 0 0 0 0 0\n"
+    "freq 2 97 1 98 4\n"
+    "pfx 0 4 0: 1:b 2:ba 2:bb\n";
+
+TEST(RelationStatsTest, DecodesVersionOneText) {
+  Result<RelationStats> decoded = DecodeRelationStats(kVersionOneText);
+  ASSERT_TRUE(decoded.ok()) << decoded.status();
+  const RelationStats want = CodecSampleStats();
+  EXPECT_EQ(decoded->rows, want.rows);
+  ASSERT_EQ(decoded->columns.size(), want.columns.size());
+  for (size_t c = 0; c < want.columns.size(); ++c) {
+    EXPECT_EQ(decoded->columns[c].total_chars, want.columns[c].total_chars);
+    EXPECT_EQ(decoded->columns[c].char_freq, want.columns[c].char_freq);
+  }
+}
+
+TEST(RelationStatsTest, RejectsOutOfRangeAndNegativeNumbers) {
+  const std::string hist = "hist 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0\n";
+  for (const std::string& text : std::vector<std::string>{
+           "rstats 1 1 99999999999999999999999",
+           "rstats 1 1 -7\ncol 0 0\n" + hist + "freq 0\npfx 0 0\n",
+           "rstats 1 1 1\ncol -1 0\n" + hist + "freq 0\npfx 0 0\n",
+           "rstats 2 1 -7\ncol 0\nfreq 0\n",
+           "rstats 2 1 1\ncol -1\nfreq 0\n",
+           "rstats 2 1 1\ncol 1\nfreq 1 97 -1\n",
+           "rstats 2 1 1\ncol 1\nfreq 1 97 9223372036854775808\n",
+           "rstats 2 -1 0\n"}) {
+    Result<RelationStats> decoded = DecodeRelationStats(text);
+    ASSERT_FALSE(decoded.ok()) << text;
+    EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument) << text;
+  }
+}
+
+// Empty when `text` fails to decode with kInvalidArgument or decodes to
+// statistics whose encoding is a decode→encode fixpoint; else what
+// went wrong.
+std::string RejectedOrFixpoint(const std::string& text) {
+  try {
+    Result<RelationStats> decoded = DecodeRelationStats(text);
+    if (!decoded.ok()) {
+      return decoded.status().code() == StatusCode::kInvalidArgument
+                 ? ""
+                 : "rejected with " + decoded.status().ToString();
+    }
+    const std::string encoded = EncodeRelationStats(*decoded);
+    Result<RelationStats> again = DecodeRelationStats(encoded);
+    if (!again.ok() || !(*again == *decoded) ||
+        EncodeRelationStats(*again) != encoded) {
+      return "re-encoding is no fixpoint: " + encoded;
+    }
+    return "";
+  } catch (const std::exception& e) {
+    return std::string("threw ") + e.what();
+  }
+}
+
+TEST(RelationStatsTest, EveryCutAndByteFlipIsRejectedOrAFixpoint) {
+  for (const std::string& text : {std::string(kVersionOneText),
+                                  EncodeRelationStats(CodecSampleStats())}) {
+    for (size_t cut = 0; cut < text.size(); ++cut) {
+      std::string why = RejectedOrFixpoint(text.substr(0, cut));
+      ASSERT_EQ(why, "") << "cut at " << cut << " of\n" << text;
+    }
+    for (size_t pos = 0; pos < text.size(); ++pos) {
+      for (int byte = 0; byte < 256; ++byte) {
+        std::string flipped = text;
+        if (flipped[pos] == static_cast<char>(byte)) continue;
+        flipped[pos] = static_cast<char>(byte);
+        std::string why = RejectedOrFixpoint(flipped);
+        ASSERT_EQ(why, "") << "byte " << byte << " at " << pos << " of\n"
+                           << text;
+      }
+    }
+  }
 }
 
 // --- cost-based planner ----------------------------------------------------
@@ -782,6 +852,17 @@ TEST(EngineTest, CostPlannerAgreesWithWrittenOrderAndNaive) {
   }
 }
 
+// The est= values of an explained plan, in print order.
+std::vector<std::string> PlanEstimates(const std::string& plan) {
+  std::vector<std::string> out;
+  for (size_t pos = plan.find("est="); pos != std::string::npos;
+       pos = plan.find("est=", pos + 4)) {
+    const size_t end = plan.find_first_of(",)", pos);
+    out.push_back(plan.substr(pos + 4, end - pos - 4));
+  }
+  return out;
+}
+
 TEST(EngineTest, StaleStatisticsNeverChangeAnswers) {
   Alphabet sigma = Alphabet::Binary();
   FsaPool pool = testgen::MakeFsaPool(sigma);
@@ -791,6 +872,7 @@ TEST(EngineTest, StaleStatisticsNeverChangeAnswers) {
   opts.truncation = 2;
   opts.max_tuples = 20000;
   opts.max_steps = 5'000'000;
+  int estimates_moved = 0;
   for (int trial = 0; trial < 40; ++trial) {
     Database db = testgen::RandomDatabase(rand, sigma);
     // Statistics from a catalog that has since lost most of P: wildly
@@ -815,7 +897,17 @@ TEST(EngineTest, StaleStatisticsNeverChangeAnswers) {
       EXPECT_EQ(misled->tuples(), fresh->tuples())
           << trial << ": " << expr.ToString();
     }
+    Result<std::string> fresh_plan = engine.Explain(expr, db, opts);
+    Result<std::string> stale_plan = engine.Explain(expr, db, with_stale);
+    ASSERT_EQ(fresh_plan.ok(), stale_plan.ok()) << trial;
+    if (fresh_plan.ok() &&
+        PlanEstimates(*fresh_plan) != PlanEstimates(*stale_plan)) {
+      ++estimates_moved;
+    }
   }
+  // The supplied map wins over the engine's own statistics, so the stale
+  // cardinalities must reach at least one estimate.
+  EXPECT_GT(estimates_moved, 0);
 }
 
 TEST(EngineTest, ExplainAnnotatesEstimatedAndActualRows) {

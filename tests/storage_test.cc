@@ -629,81 +629,61 @@ TEST(StoreTest, CheckpointFoldsTheLogAndReopensFromSnapshot) {
   EXPECT_TRUE(Env::Posix()->FileExists(dir + "/snap-2"));
 }
 
-// Relation statistics are maintained incrementally on every mutation,
-// persisted as kStats snapshot side-ops and rebuilt during WAL replay.
-// All paths must agree with a full recomputation *exactly* — the cost
-// planner's estimates are advisory, but the maintenance is not.
+// The store keeps statistics for spilled relations only: the checkpoint
+// that spills a relation computes them, snapshots persist them as kStats
+// side-ops, and they go when the relation stops being spilled.
 
-TEST(StoreTest, StatisticsSurviveCheckpointAndReopenExactly) {
-  Alphabet sigma = Alphabet::Binary();
-  std::string dir = FreshDir("store_stats_ckpt");
-  auto store = CatalogStore::Open(dir, sigma);
-  ASSERT_TRUE(store.ok());
-  ASSERT_TRUE((*store)->PutRelation("R", 1, {{"ab"}, {"ba"}, {""}}).ok());
-  ASSERT_TRUE((*store)->PutRelation("P", 2, {{"a", "bb"}, {"", "a"}}).ok());
-  ASSERT_TRUE((*store)->Checkpoint().ok());
-  StatsMap pre = *(*store)->StatsSnapshot();
-  ASSERT_EQ(pre.size(), 2u);
-  for (const auto& [name, rel] : (*store)->db().relations()) {
-    EXPECT_TRUE(pre.at(name) == ComputeRelationStats(rel)) << name;
-  }
-  ASSERT_TRUE((*store)->Close().ok());
-
-  RecoveryReport report;
-  auto reopened = CatalogStore::Open(dir, sigma, {}, &report);
-  ASSERT_TRUE(reopened.ok()) << reopened.status();
-  EXPECT_TRUE(report.snapshot_loaded);
-  // The kStats round-trip is exact, not merely equivalent.
-  EXPECT_TRUE(*(*reopened)->StatsSnapshot() == pre);
+StatsMap StoreStats(const CatalogStore& store) {
+  std::shared_ptr<const Database> db;
+  std::shared_ptr<const PagedSet> paged;
+  std::shared_ptr<const StatsMap> stats;
+  store.SnapshotState(&db, &paged, &stats);
+  return *stats;
 }
 
-TEST(StoreTest, StatisticsRebuiltIncrementallyByWalReplay) {
+TEST(StoreTest, StatisticsCoverExactlyTheSpilledRelations) {
   Alphabet sigma = Alphabet::Binary();
-  std::string dir = FreshDir("store_stats_wal");
-  auto store = CatalogStore::Open(dir, sigma);
+  std::string dir = FreshDir("store_stats_spill");
+  StoreOptions options;
+  options.spill_threshold_bytes = 1;
+  auto store = CatalogStore::Open(dir, sigma, options);
   ASSERT_TRUE(store.ok());
-  ASSERT_TRUE((*store)->PutRelation("R", 1, {{"ab"}}).ok());
+  const std::vector<Tuple> r = {{"ab"}, {"ba"}, {""}};
+  const std::vector<Tuple> p = {{"a", "bb"}, {"", "a"}};
+  ASSERT_TRUE((*store)->PutRelation("R", 1, r).ok());
+  ASSERT_TRUE((*store)->PutRelation("P", 2, p).ok());
+  EXPECT_TRUE(StoreStats(**store).empty());
+
   ASSERT_TRUE((*store)->Checkpoint().ok());
-  // Post-checkpoint mutations live only in the WAL suffix: an insert
-  // (with a duplicate the set semantics swallow), a replacing put and a
-  // drop all have to be folded into the statistics during replay.
-  ASSERT_TRUE((*store)->InsertTuples("R", {{"ba"}, {"ab"}, {"ba"}}).ok());
-  ASSERT_TRUE((*store)->PutRelation("Q", 2, {{"a", "b"}}).ok());
-  ASSERT_TRUE((*store)->PutRelation("Q", 2, {{"bb", ""}, {"a", "a"}}).ok());
-  ASSERT_TRUE((*store)->PutRelation("Gone", 1, {{"b"}}).ok());
-  ASSERT_TRUE((*store)->DropRelation("Gone").ok());
-  StatsMap pre = *(*store)->StatsSnapshot();
+  ASSERT_EQ((*store)->PagedDb()->size(), 2u);
+  StatsMap want;
+  want["R"] = ComputeRelationStats(*StringRelation::Create(1, r));
+  want["P"] = ComputeRelationStats(*StringRelation::Create(2, p));
+  EXPECT_TRUE(StoreStats(**store) == want);
   ASSERT_TRUE((*store)->Close().ok());
 
-  RecoveryReport report;
-  auto reopened = CatalogStore::Open(dir, sigma, {}, &report);
+  auto reopened = CatalogStore::Open(dir, sigma, options);
   ASSERT_TRUE(reopened.ok()) << reopened.status();
-  EXPECT_GT(report.wal_records_replayed, 0);
-  StatsMap recovered = *(*reopened)->StatsSnapshot();
-  EXPECT_TRUE(recovered == pre);
-  ASSERT_EQ(recovered.count("Gone"), 0u);
-  for (const auto& [name, rel] : (*reopened)->db().relations()) {
-    EXPECT_TRUE(recovered.at(name) == ComputeRelationStats(rel)) << name;
-  }
-}
+  EXPECT_TRUE(StoreStats(**reopened) == want);
 
-TEST(StoreTest, DuplicateInsertsDoNotInflateStatistics) {
-  Alphabet sigma = Alphabet::Binary();
-  std::string dir = FreshDir("store_stats_dup");
-  auto store = CatalogStore::Open(dir, sigma);
-  ASSERT_TRUE(store.ok());
-  ASSERT_TRUE((*store)->PutRelation("R", 1, {{"ab"}}).ok());
-  // One genuinely new tuple, one already present, one duplicated inside
-  // the batch itself: the relation gains exactly one tuple and the
-  // statistics must agree.
-  ASSERT_TRUE((*store)->InsertTuples("R", {{"ab"}, {"ba"}, {"ba"}}).ok());
-  StatsMap live = *(*store)->StatsSnapshot();
-  ASSERT_EQ(live.count("R"), 1u);
-  EXPECT_EQ(live.at("R").rows, 2);
-  auto rel = (*store)->db().Get("R");
+  // Inserting materialises R and dropping removes P: neither is spilled
+  // any more, so neither keeps statistics in the store.
+  ASSERT_TRUE((*reopened)->InsertTuples("R", {{"bb"}}).ok());
+  ASSERT_TRUE((*reopened)->DropRelation("P").ok());
+  EXPECT_TRUE((*reopened)->PagedDb()->empty());
+  EXPECT_TRUE(StoreStats(**reopened).empty());
+  ASSERT_TRUE((*reopened)->Close().ok());
+
+  // The snapshot still carries both kStats ops; replaying the insert and
+  // the drop takes them out again.
+  RecoveryReport report;
+  auto again = CatalogStore::Open(dir, sigma, options, &report);
+  ASSERT_TRUE(again.ok()) << again.status();
+  EXPECT_EQ(report.wal_records_replayed, 2);
+  EXPECT_TRUE(StoreStats(**again).empty());
+  auto rel = (*again)->db().Get("R");
   ASSERT_TRUE(rel.ok());
-  EXPECT_TRUE(live.at("R") == ComputeRelationStats(**rel));
-  ASSERT_TRUE((*store)->Close().ok());
+  EXPECT_EQ((*rel)->size(), 4);
 }
 
 TEST(StoreTest, TornWalTailIsSalvagedOnOpen) {
