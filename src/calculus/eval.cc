@@ -9,8 +9,7 @@ namespace {
 class NaiveEvaluator {
  public:
   NaiveEvaluator(const Database& db, const CalcEvalOptions& options)
-      : db_(db), options_(options),
-        domain_(db.alphabet().StringsUpTo(options.truncation)) {}
+      : db_(db), options_(options) {}
 
   Result<bool> Holds(const CalcFormula& f,
                      std::map<std::string, std::string>* binding) {
@@ -71,7 +70,7 @@ class NaiveEvaluator {
         auto it = binding->find(f.var());
         std::optional<std::string> saved;
         if (it != binding->end()) saved = it->second;
-        for (const std::string& u : domain_) {
+        for (const std::string& u : Domain()) {
           (*binding)[f.var()] = u;
           Result<bool> r = Holds(f.Left(), binding);
           if (!r.ok()) {
@@ -101,9 +100,18 @@ class NaiveEvaluator {
     }
   }
 
+  // Σ^{<=l}, built by the first quantifier that ranges over it: a
+  // quantifier-free formula at a large l costs only its own test.
+  const std::vector<std::string>& Domain() {
+    if (!domain_.has_value()) {
+      domain_ = db_.alphabet().StringsUpTo(options_.truncation);
+    }
+    return *domain_;
+  }
+
   const Database& db_;
   const CalcEvalOptions& options_;
-  std::vector<std::string> domain_;
+  std::optional<std::vector<std::string>> domain_;
   int64_t steps_ = 0;
 };
 

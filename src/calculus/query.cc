@@ -438,6 +438,13 @@ Result<std::string> Query::ExplainPlan(const Database& db,
                                        const PagedSet* paged,
                                        const StatsMap* stats) const {
   STRDB_ASSIGN_OR_RETURN(int truncation, InferTruncation(db, paged));
+  return ExplainTruncated(db, truncation, paged, stats);
+}
+
+Result<std::string> Query::ExplainTruncated(const Database& db,
+                                            int truncation,
+                                            const PagedSet* paged,
+                                            const StatsMap* stats) const {
   EvalOptions opts;
   opts.truncation = truncation;
   opts.paged = paged;

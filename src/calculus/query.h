@@ -136,6 +136,11 @@ class Query {
                                   const PagedSet* paged = nullptr,
                                   const StatsMap* stats = nullptr) const;
 
+  // The same at an explicit truncation, as ExecuteTruncated runs it.
+  Result<std::string> ExplainTruncated(const Database& db, int truncation,
+                                       const PagedSet* paged = nullptr,
+                                       const StatsMap* stats = nullptr) const;
+
  private:
   // Everything compiled from one text, immutable once built (defined in
   // query.cc), and the process-wide cache of them.

@@ -33,6 +33,17 @@ Result<AlgebraExpr> JoinByPartition(AlgebraExpr f,
   if (!std::all_of(covered.begin(), covered.end(), [](bool b) { return b; })) {
     return Status::InvalidArgument("blocks must cover every column");
   }
+  std::vector<int> projection;
+  projection.reserve(blocks.size());
+  for (const std::vector<int>& block : blocks) {
+    projection.push_back(*std::min_element(block.begin(), block.end()));
+  }
+  if (static_cast<int>(blocks.size()) == a) {
+    // No two columns must agree, so the automaton would accept every
+    // tuple: only the column order changes (π[1,0] for R(y,x)), and
+    // Project folds an order that is already ascending away.
+    return AlgebraExpr::Project(std::move(f), std::move(projection));
+  }
 
   std::vector<std::string> names;
   names.reserve(static_cast<size_t>(a));
@@ -64,11 +75,6 @@ Result<AlgebraExpr> JoinByPartition(AlgebraExpr f,
                          CompileStringFormula(psi, alphabet, names, options));
   STRDB_ASSIGN_OR_RETURN(AlgebraExpr selected,
                          AlgebraExpr::Select(std::move(f), std::move(fsa)));
-  std::vector<int> projection;
-  projection.reserve(blocks.size());
-  for (const std::vector<int>& block : blocks) {
-    projection.push_back(*std::min_element(block.begin(), block.end()));
-  }
   return AlgebraExpr::Project(std::move(selected), std::move(projection));
 }
 
@@ -153,11 +159,11 @@ class CalcTranslator {
       }
       blocks.push_back(std::move(block));
     }
-    STRDB_ASSIGN_OR_RETURN(
-        AlgebraExpr joined,
-        JoinByPartition(std::move(rel), blocks, alphabet_, options_.compile));
     // The paper's ∩ (Σ*)^m, which under ↓l bounds the answer strings.
-    return AlgebraExpr::RestrictToDomain(std::move(joined));
+    // It sits directly on R, where the planner drops it when max(R, db)
+    // <= l, and under the π, which then fuses with a head's or an ∃'s.
+    return JoinByPartition(AlgebraExpr::RestrictToDomain(std::move(rel)),
+                           blocks, alphabet_, options_.compile);
   }
 
   // φ ∧ σ with σ a string formula compiles directly into the paper's

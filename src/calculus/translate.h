@@ -23,7 +23,10 @@ struct TranslateOptions {
 // arity), then projects to one representative column per block (the
 // block minimum), in block order.  The equality test is the string
 // formula ([c0..ca]l ⋀_j ⋀_{i∈Bj} c_i = c_minBj)* · [c0..ca]l
-// (c_0 = ... = c_a = ε), compiled to an FSA selection.
+// (c_0 = ... = c_a = ε), compiled to an FSA selection.  With every block
+// a single column that test holds for every tuple, so no automaton is
+// compiled: the result is the projection alone (f itself when the blocks
+// are in ascending order).
 Result<AlgebraExpr> JoinByPartition(AlgebraExpr f,
                                     const std::vector<std::vector<int>>& blocks,
                                     const Alphabet& alphabet,

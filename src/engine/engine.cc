@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <limits>
 #include <optional>
 #include <span>
 #include <set>
@@ -41,13 +42,64 @@ class Planner {
   Result<std::shared_ptr<PlanNode>> Lower(const AlgebraExpr& e) {
     auto it = memo_.find(e.node_identity());
     if (it != memo_.end()) return it->second;
-    STRDB_ASSIGN_OR_RETURN(std::shared_ptr<PlanNode> node, LowerNew(e));
-    node->est_rows = EstimateRows(e, cost_ctx_, &estimates_);
+    std::shared_ptr<PlanNode> node;
+    if (e.kind() == Kind::kRestrict &&
+        MaxLength(e.Left()) <= options_.truncation) {
+      // ↓l keeps every tuple of a value whose strings are all <= l.
+      STRDB_ASSIGN_OR_RETURN(node, Lower(e.Left()));
+    } else {
+      STRDB_ASSIGN_OR_RETURN(node, LowerNew(e));
+      node->est_rows = EstimateRows(e, cost_ctx_, &estimates_);
+    }
     memo_.emplace(e.node_identity(), node);
     return node;
   }
 
  private:
+  // An upper bound on the length of every string in `e`'s value at this
+  // truncation l: Eq. (2)'s max(R, db) for a relation (a spilled one's
+  // heap header records it), l for Σ*, k for Σ^k, the larger side of ∪
+  // and ×, the left side or the child for \, π and σ, and at most l
+  // under ↓l.  A relation missing from the catalog has no bound.
+  int64_t MaxLength(const AlgebraExpr& e) {
+    auto it = max_lengths_.find(e.node_identity());
+    if (it != max_lengths_.end()) return it->second;
+    int64_t bound = std::numeric_limits<int64_t>::max();
+    switch (e.kind()) {
+      case Kind::kRelation:
+        if (Result<const StringRelation*> rel = db_.Get(e.relation_name());
+            rel.ok()) {
+          bound = (*rel)->MaxStringLength();
+        } else if (options_.paged != nullptr) {
+          auto spilled = options_.paged->find(e.relation_name());
+          if (spilled != options_.paged->end()) {
+            bound = spilled->second->max_string_length();
+          }
+        }
+        break;
+      case Kind::kSigmaStar:
+        bound = options_.truncation;
+        break;
+      case Kind::kSigmaL:
+        bound = e.sigma_l();
+        break;
+      case Kind::kUnion:
+      case Kind::kProduct:
+        bound = std::max(MaxLength(e.Left()), MaxLength(e.Right()));
+        break;
+      case Kind::kDifference:
+      case Kind::kProject:
+      case Kind::kSelect:
+        bound = MaxLength(e.Left());
+        break;
+      case Kind::kRestrict:
+        bound = std::min<int64_t>(MaxLength(e.Left()), options_.truncation);
+        break;
+    }
+    max_lengths_.emplace(e.node_identity(), bound);
+    return bound;
+  }
+
   Result<std::shared_ptr<PlanNode>> LowerNew(const AlgebraExpr& e) {
     auto node = std::make_shared<PlanNode>();
     node->arity = e.arity();
@@ -151,14 +203,17 @@ class Planner {
   const CostPlannerContext& cost_ctx_;
   std::unordered_map<const AlgebraExpr::Node*, std::shared_ptr<PlanNode>>
       memo_;
+  std::unordered_map<const AlgebraExpr::Node*, int64_t> max_lengths_;
   // Each node's estimate, computed once per plan (a node's estimate
   // recurses into its subtree, which is lowered first).
   RowEstimateMemo estimates_;
 };
 
 // Runs a plan DAG.  Holds one result per PlanNode (evaluate-once for
-// shared subtrees); Eval returns pointers into the memo, which is
-// node-based and therefore stable across inserts.
+// shared subtrees); Eval returns pointers that stay valid for the
+// executor's lifetime.  A scan's pointer is the snapshot's own relation:
+// the Database outlives the executor and never changes under it, so no
+// operator copies its input.
 class Executor {
  public:
   Executor(const Database& db, const EvalOptions& options,
@@ -174,31 +229,58 @@ class Executor {
     auto it = memo_.find(node);
     if (it != memo_.end()) {
       ++node->stats.memo_hits;
-      return &it->second;
+      return it->second;
     }
     if (options_.budget != nullptr) {
       STRDB_RETURN_IF_ERROR(options_.budget->CheckDeadline());
     }
-    Clock::time_point start = Clock::now();
-    STRDB_ASSIGN_OR_RETURN(StringRelation out, Compute(node));
-    node->stats.wall_ns += ElapsedNs(start);
-    node->stats.tuples_out = out.size();
+    const Clock::time_point start = Clock::now();
+    const int64_t children_before = children_ns_;
+    const StringRelation* out = nullptr;
+    if (node->op == Op::kScan) {
+      STRDB_ASSIGN_OR_RETURN(out, Scan(node));
+    } else {
+      STRDB_ASSIGN_OR_RETURN(StringRelation computed, Compute(node));
+      out = &owned_.emplace(node, std::move(computed)).first->second;
+    }
+    // The children evaluated inside this node added their own times to
+    // children_ns_; this node's self time is what is left, and its parent
+    // sees only its total.
+    const int64_t elapsed = ElapsedNs(start);
+    node->stats.wall_ns += elapsed;
+    node->stats.self_ns += elapsed - (children_ns_ - children_before);
+    children_ns_ = children_before + elapsed;
+    node->stats.tuples_out = out->size();
     if (options_.budget != nullptr) {
       // Rows are charged per operator: a memo hit reuses the same
       // materialisation, so only fresh rows count against the budget.
-      STRDB_RETURN_IF_ERROR(options_.budget->ChargeRows(out.size()));
+      STRDB_RETURN_IF_ERROR(options_.budget->ChargeRows(out->size()));
     }
-    auto inserted = memo_.emplace(node, std::move(out));
-    return &inserted.first->second;
+    memo_.emplace(node, out);
+    return out;
   }
 
-  // Moves the evaluated root's result out of the memo.  The root is
-  // never a shared subtree, so nothing reads its entry afterwards.
+  // The evaluated root's result, moved out of the executor (copied when
+  // the root is a scan of the snapshot).  The root is never a shared
+  // subtree, so nothing reads its entry afterwards.
   StringRelation TakeRoot(const PlanNode* root) {
-    return std::move(memo_.at(root));
+    auto it = owned_.find(root);
+    if (it != owned_.end()) return std::move(it->second);
+    return *memo_.at(root);
   }
 
  private:
+  Result<const StringRelation*> Scan(const PlanNode* node) const {
+    STRDB_ASSIGN_OR_RETURN(const StringRelation* rel, db_.Get(node->relation));
+    if (rel->arity() != node->arity) {
+      return Status::InvalidArgument(
+          "relation '" + node->relation + "' has arity " +
+          std::to_string(rel->arity()) + ", expression expects " +
+          std::to_string(node->arity));
+    }
+    return rel;
+  }
+
   Result<StringRelation> CheckSize(StringRelation rel) const {
     if (rel.size() > options_.max_tuples) {
       return Status::ResourceExhausted("intermediate relation exceeds " +
@@ -208,19 +290,11 @@ class Executor {
     return rel;
   }
 
+  // Every operator but kScan, which Eval reads in place.
   Result<StringRelation> Compute(PlanNode* node) {
     switch (node->op) {
-      case Op::kScan: {
-        STRDB_ASSIGN_OR_RETURN(const StringRelation* rel,
-                               db_.Get(node->relation));
-        if (rel->arity() != node->arity) {
-          return Status::InvalidArgument(
-              "relation '" + node->relation + "' has arity " +
-              std::to_string(rel->arity()) + ", expression expects " +
-              std::to_string(node->arity));
-        }
-        return *rel;
-      }
+      case Op::kScan:
+        break;
       case Op::kPagedScan: {
         // Generic parents need the relation resident; only a FilterSelect
         // parent streams (it intercepts before Eval reaches here).
@@ -276,6 +350,11 @@ class Executor {
           }
           if (out.size() > options_.max_tuples) {
             return Status::ResourceExhausted("product exceeds max_tuples");
+          }
+          // The only operator whose output outgrows its inputs: it must
+          // not outlive the deadline.
+          if (options_.budget != nullptr) {
+            STRDB_RETURN_IF_ERROR(options_.budget->CheckDeadline());
           }
         }
         return out;
@@ -348,9 +427,13 @@ class Executor {
     std::vector<const Tuple*> tuples;
     if (child->op == Op::kPagedScan && child->source != nullptr &&
         memo_.find(child) == memo_.end()) {
-      Clock::time_point child_start = Clock::now();
+      const Clock::time_point child_start = Clock::now();
+      // The acceptance run inside the scan callback is this node's work,
+      // not the scan's.
+      int64_t filter_ns = 0;
       STRDB_RETURN_IF_ERROR(child->source->Scan(
           [&](const std::vector<Tuple>& batch) -> Status {
+            const Clock::time_point filter_start = Clock::now();
             int64_t n = static_cast<int64_t>(batch.size());
             node->stats.tuples_in += n;
             child->stats.tuples_out += n;
@@ -361,7 +444,9 @@ class Executor {
             }
             tuples.clear();
             for (const Tuple& t : batch) tuples.push_back(&t);
-            STRDB_RETURN_IF_ERROR(Filter(node, *acceptor, tuples, &out));
+            Status filtered = Filter(node, *acceptor, tuples, &out);
+            filter_ns += ElapsedNs(filter_start);
+            STRDB_RETURN_IF_ERROR(filtered);
             if (out.size() > options_.max_tuples) {
               return Status::ResourceExhausted(
                   "selection exceeds " + std::to_string(options_.max_tuples) +
@@ -369,7 +454,10 @@ class Executor {
             }
             return Status::OK();
           }));
-      child->stats.wall_ns += ElapsedNs(child_start);
+      const int64_t scan_ns = ElapsedNs(child_start) - filter_ns;
+      child->stats.wall_ns += scan_ns;
+      child->stats.self_ns += scan_ns;
+      children_ns_ += scan_ns;
       return out;
     }
     STRDB_ASSIGN_OR_RETURN(const StringRelation* rel, Eval(child));
@@ -528,7 +616,13 @@ class Executor {
   const EngineOptions& engine_options_;
   ArtifactCache* cache_;  // nullptr = caching disabled
   ThreadPool* pool_;
-  std::unordered_map<const PlanNode*, StringRelation> memo_;
+  // Every evaluated node's value: a snapshot relation for a scan, else
+  // the node's entry in owned_.
+  std::unordered_map<const PlanNode*, const StringRelation*> memo_;
+  std::unordered_map<const PlanNode*, StringRelation> owned_;
+  // The summed wall time of the evaluations finished so far under the
+  // node being evaluated (see Eval).
+  int64_t children_ns_ = 0;
 };
 
 void SumStats(const PlanNode& node, std::set<const PlanNode*>* seen,

@@ -84,7 +84,8 @@ void ExplainNode(const PlanNode& node, int depth, bool with_stats,
            << (s.cache_hits + s.cache_misses);
     }
     if (s.memo_hits > 0) *out << " memo_hits=" << s.memo_hits;
-    *out << " time=" << static_cast<double>(s.wall_ns) / 1e6 << "ms]";
+    *out << " time=" << static_cast<double>(s.wall_ns) / 1e6
+         << "ms self=" << static_cast<double>(s.self_ns) / 1e6 << "ms]";
   }
   if (!seen->insert(&node).second) {
     *out << "  (shared, evaluated once)\n";

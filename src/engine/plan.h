@@ -22,7 +22,11 @@ struct OperatorStats {
   int64_t cache_hits = 0;
   int64_t cache_misses = 0;
   int64_t memo_hits = 0;  // result reuses of this (shared) subtree
+  // Time inside the operator, and the part of it not spent evaluating
+  // a child (a memo hit evaluates nothing).  The self times of a plan
+  // sum to its root's wall time.
   int64_t wall_ns = 0;
+  int64_t self_ns = 0;
 };
 
 // One operator of a physical plan.  Plans are DAGs: subtrees shared in

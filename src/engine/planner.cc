@@ -141,25 +141,13 @@ Result<AlgebraExpr> CostBasedReorder(const AlgebraExpr& e,
     case Kind::kRelation:
     case Kind::kSigmaStar:
     case Kind::kSigmaL:
-      return e;
-    case Kind::kUnion: {
-      STRDB_ASSIGN_OR_RETURN(AlgebraExpr l, CostBasedReorder(e.Left(), ctx));
-      STRDB_ASSIGN_OR_RETURN(AlgebraExpr r, CostBasedReorder(e.Right(), ctx));
-      return AlgebraExpr::Union(std::move(l), std::move(r));
-    }
-    case Kind::kDifference: {
-      STRDB_ASSIGN_OR_RETURN(AlgebraExpr l, CostBasedReorder(e.Left(), ctx));
-      STRDB_ASSIGN_OR_RETURN(AlgebraExpr r, CostBasedReorder(e.Right(), ctx));
-      return AlgebraExpr::Difference(std::move(l), std::move(r));
-    }
-    case Kind::kProject: {
-      STRDB_ASSIGN_OR_RETURN(AlgebraExpr c, CostBasedReorder(e.Left(), ctx));
-      return AlgebraExpr::Project(std::move(c), e.columns());
-    }
-    case Kind::kRestrict: {
-      STRDB_ASSIGN_OR_RETURN(AlgebraExpr c, CostBasedReorder(e.Left(), ctx));
-      return AlgebraExpr::RestrictToDomain(std::move(c));
-    }
+    case Kind::kUnion:
+    case Kind::kDifference:
+    case Kind::kProject:
+    case Kind::kRestrict:
+      return MapChildren(e, [&ctx](const AlgebraExpr& c) {
+        return CostBasedReorder(c, ctx);
+      });
     case Kind::kSelect: {
       std::vector<AlgebraExpr> factors;
       FlattenProduct(e.Left(), &factors);

@@ -54,6 +54,35 @@ Result<Fsa> DropTapes(const Fsa& fsa, const std::vector<bool>& drop) {
   return out;
 }
 
+// --- pass 0: guarded negation -----------------------------------------------
+
+// E \ σ_A((Σ*)^m) → E \ σ_A(↓l E), with E one shared node.  At ↓l,
+// σ_A((Σ*)^m) is the set of tuples of (Σ^{<=l})^m that A accepts, so both
+// forms remove from E exactly its tuples within (Σ^{<=l})^m that A
+// accepts — for every E.  The right side then tests E's tuples instead
+// of enumerating (Σ^{<=l})^m, and the planner drops the ↓l when E's
+// strings are no longer than l.
+Result<AlgebraExpr> FilterGuardedNegations(const AlgebraExpr& e) {
+  STRDB_ASSIGN_OR_RETURN(AlgebraExpr out,
+                         MapChildren(e, FilterGuardedNegations));
+  if (out.kind() != Kind::kDifference ||
+      out.Right().kind() != Kind::kSelect) {
+    return out;
+  }
+  const AlgebraExpr& removed = out.Right();
+  std::vector<AlgebraExpr> factors;
+  FlattenProduct(removed.Left(), &factors);
+  for (const AlgebraExpr& f : factors) {
+    if (f.kind() != Kind::kSigmaStar) return out;
+  }
+  const AlgebraExpr& guard = out.Left();
+  STRDB_ASSIGN_OR_RETURN(
+      AlgebraExpr tested,
+      AlgebraExpr::Select(AlgebraExpr::RestrictToDomain(guard),
+                          removed.keyed_fsa()));
+  return AlgebraExpr::Difference(guard, std::move(tested));
+}
+
 // Splits the factors of a σ child into kept and pulled-out parts and
 // rebuilds π_restore(σ_{A'}(∏kept) × ∏pulled).  `pulled[i]` marks
 // factors moved out; the caller guarantees ≥1 kept factor and supplies
@@ -142,81 +171,20 @@ Result<AlgebraExpr> PushdownSelect(const AlgebraExpr& select,
 }
 
 Result<AlgebraExpr> PushdownSelections(const AlgebraExpr& e) {
-  switch (e.kind()) {
-    case Kind::kRelation:
-    case Kind::kSigmaStar:
-    case Kind::kSigmaL:
-      return e;
-    case Kind::kUnion: {
-      STRDB_ASSIGN_OR_RETURN(AlgebraExpr l, PushdownSelections(e.Left()));
-      STRDB_ASSIGN_OR_RETURN(AlgebraExpr r, PushdownSelections(e.Right()));
-      return AlgebraExpr::Union(std::move(l), std::move(r));
-    }
-    case Kind::kDifference: {
-      STRDB_ASSIGN_OR_RETURN(AlgebraExpr l, PushdownSelections(e.Left()));
-      STRDB_ASSIGN_OR_RETURN(AlgebraExpr r, PushdownSelections(e.Right()));
-      return AlgebraExpr::Difference(std::move(l), std::move(r));
-    }
-    case Kind::kProduct: {
-      STRDB_ASSIGN_OR_RETURN(AlgebraExpr l, PushdownSelections(e.Left()));
-      STRDB_ASSIGN_OR_RETURN(AlgebraExpr r, PushdownSelections(e.Right()));
-      return AlgebraExpr::Product(std::move(l), std::move(r));
-    }
-    case Kind::kProject: {
-      STRDB_ASSIGN_OR_RETURN(AlgebraExpr c, PushdownSelections(e.Left()));
-      return AlgebraExpr::Project(std::move(c), e.columns());
-    }
-    case Kind::kRestrict: {
-      STRDB_ASSIGN_OR_RETURN(AlgebraExpr c, PushdownSelections(e.Left()));
-      return AlgebraExpr::RestrictToDomain(std::move(c));
-    }
-    case Kind::kSelect: {
-      STRDB_ASSIGN_OR_RETURN(AlgebraExpr c, PushdownSelections(e.Left()));
-      return PushdownSelect(e, std::move(c));
-    }
-  }
-  return Status::Internal("unknown algebra node kind");
+  if (e.kind() != Kind::kSelect) return MapChildren(e, PushdownSelections);
+  STRDB_ASSIGN_OR_RETURN(AlgebraExpr c, PushdownSelections(e.Left()));
+  return PushdownSelect(e, std::move(c));
 }
 
 // --- pass 2: Lemma 3.1 constant-column specialisation -----------------------
 
 Result<AlgebraExpr> SpecializeConstants(const AlgebraExpr& e,
                                         const Database& db) {
-  switch (e.kind()) {
-    case Kind::kRelation:
-    case Kind::kSigmaStar:
-    case Kind::kSigmaL:
-      return e;
-    case Kind::kUnion: {
-      STRDB_ASSIGN_OR_RETURN(AlgebraExpr l, SpecializeConstants(e.Left(), db));
-      STRDB_ASSIGN_OR_RETURN(AlgebraExpr r,
-                             SpecializeConstants(e.Right(), db));
-      return AlgebraExpr::Union(std::move(l), std::move(r));
-    }
-    case Kind::kDifference: {
-      STRDB_ASSIGN_OR_RETURN(AlgebraExpr l, SpecializeConstants(e.Left(), db));
-      STRDB_ASSIGN_OR_RETURN(AlgebraExpr r,
-                             SpecializeConstants(e.Right(), db));
-      return AlgebraExpr::Difference(std::move(l), std::move(r));
-    }
-    case Kind::kProduct: {
-      STRDB_ASSIGN_OR_RETURN(AlgebraExpr l, SpecializeConstants(e.Left(), db));
-      STRDB_ASSIGN_OR_RETURN(AlgebraExpr r,
-                             SpecializeConstants(e.Right(), db));
-      return AlgebraExpr::Product(std::move(l), std::move(r));
-    }
-    case Kind::kProject: {
-      STRDB_ASSIGN_OR_RETURN(AlgebraExpr c, SpecializeConstants(e.Left(), db));
-      return AlgebraExpr::Project(std::move(c), e.columns());
-    }
-    case Kind::kRestrict: {
-      STRDB_ASSIGN_OR_RETURN(AlgebraExpr c, SpecializeConstants(e.Left(), db));
-      return AlgebraExpr::RestrictToDomain(std::move(c));
-    }
-    case Kind::kSelect:
-      break;
-  }
-  STRDB_ASSIGN_OR_RETURN(AlgebraExpr child, SpecializeConstants(e.Left(), db));
+  auto recurse = [&db](const AlgebraExpr& c) {
+    return SpecializeConstants(c, db);
+  };
+  if (e.kind() != Kind::kSelect) return MapChildren(e, recurse);
+  STRDB_ASSIGN_OR_RETURN(AlgebraExpr child, recurse(e.Left()));
   std::vector<AlgebraExpr> factors;
   FlattenProduct(child, &factors);
   std::vector<bool> constant(factors.size(), false);
@@ -330,40 +298,7 @@ class HashCons {
   // Rebuilds one node over canonical children (children are already in
   // the pool by the time this runs).
   Result<AlgebraExpr> Rebuild(const AlgebraExpr& e) {
-    switch (e.kind()) {
-      case Kind::kRelation:
-      case Kind::kSigmaStar:
-      case Kind::kSigmaL:
-        return e;
-      case Kind::kUnion: {
-        STRDB_ASSIGN_OR_RETURN(AlgebraExpr l, Canonical(e.Left()));
-        STRDB_ASSIGN_OR_RETURN(AlgebraExpr r, Canonical(e.Right()));
-        return AlgebraExpr::Union(std::move(l), std::move(r));
-      }
-      case Kind::kDifference: {
-        STRDB_ASSIGN_OR_RETURN(AlgebraExpr l, Canonical(e.Left()));
-        STRDB_ASSIGN_OR_RETURN(AlgebraExpr r, Canonical(e.Right()));
-        return AlgebraExpr::Difference(std::move(l), std::move(r));
-      }
-      case Kind::kProduct: {
-        STRDB_ASSIGN_OR_RETURN(AlgebraExpr l, Canonical(e.Left()));
-        STRDB_ASSIGN_OR_RETURN(AlgebraExpr r, Canonical(e.Right()));
-        return AlgebraExpr::Product(std::move(l), std::move(r));
-      }
-      case Kind::kProject: {
-        STRDB_ASSIGN_OR_RETURN(AlgebraExpr c, Canonical(e.Left()));
-        return AlgebraExpr::Project(std::move(c), e.columns());
-      }
-      case Kind::kRestrict: {
-        STRDB_ASSIGN_OR_RETURN(AlgebraExpr c, Canonical(e.Left()));
-        return AlgebraExpr::RestrictToDomain(std::move(c));
-      }
-      case Kind::kSelect: {
-        STRDB_ASSIGN_OR_RETURN(AlgebraExpr c, Canonical(e.Left()));
-        return AlgebraExpr::Select(std::move(c), e.keyed_fsa());
-      }
-    }
-    return Status::Internal("unknown algebra node kind");
+    return MapChildren(e, [this](const AlgebraExpr& c) { return Canonical(c); });
   }
 
   std::map<std::string, AlgebraExpr> pool_;
@@ -384,6 +319,9 @@ Result<AlgebraExpr> RewriteExpr(const AlgebraExpr& expr, const Database& db,
     if (finitely_evaluable && !candidate->IsFinitelyEvaluable()) return;
     current = *std::move(candidate);
   };
+  // Always on: it only removes work.  It runs first, while the negated
+  // σ still reads (Σ*)^m in its written order.
+  guard(FilterGuardedNegations(current));
   if (rewrites.pushdown_selections) {
     guard(PushdownSelections(current));
   }

@@ -9,7 +9,10 @@ namespace strdb {
 
 struct CostPlannerContext;
 
-// Which passes of the rewrite pipeline run (in the order listed).
+// Which passes of the rewrite pipeline run (in the order listed).  One
+// pass always runs first: a guarded negation E \ σ_A((Σ*)^m) becomes
+// E \ σ_A(↓l E), which removes the same tuples without enumerating
+// (Σ^{<=l})^m.
 struct RewriteOptions {
   // σ_A(E ∪ F) → σ_A(E) ∪ σ_A(F), and σ_A(E × F) → σ_{A'}(E) × F when
   // every tape of F is disregarded by A (pinned to ⊢ and never moved):

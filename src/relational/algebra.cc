@@ -99,6 +99,21 @@ Result<AlgebraExpr> AlgebraExpr::Project(AlgebraExpr child,
     }
     seen[static_cast<size_t>(c)] = true;
   }
+  // π_a(π_b E) = π_{b∘a} E, and the identity projection is its child:
+  // no plan ever holds a π over a π or a π that keeps every column in
+  // place.
+  if (child.kind() == Kind::kProject) {
+    for (int& c : columns) c = child.columns()[static_cast<size_t>(c)];
+    AlgebraExpr grandchild = child.Left();
+    child = std::move(grandchild);
+  }
+  if (static_cast<int>(columns.size()) == child.arity()) {
+    bool identity = true;
+    for (size_t i = 0; i < columns.size(); ++i) {
+      identity &= columns[i] == static_cast<int>(i);
+    }
+    if (identity) return child;
+  }
   auto node = std::make_shared<Node>();
   node->kind = Kind::kProject;
   node->arity = static_cast<int>(columns.size());
@@ -170,6 +185,43 @@ AlgebraExpr BuildProduct(std::vector<AlgebraExpr> factors) {
     out = AlgebraExpr::Product(std::move(out), std::move(factors[i]));
   }
   return out;
+}
+
+Result<AlgebraExpr> MapChildren(
+    const AlgebraExpr& e,
+    const std::function<Result<AlgebraExpr>(const AlgebraExpr&)>& f) {
+  using Kind = AlgebraExpr::Kind;
+  switch (e.kind()) {
+    case Kind::kRelation:
+    case Kind::kSigmaStar:
+    case Kind::kSigmaL:
+      return e;
+    case Kind::kUnion:
+    case Kind::kDifference:
+    case Kind::kProduct: {
+      STRDB_ASSIGN_OR_RETURN(AlgebraExpr l, f(e.Left()));
+      STRDB_ASSIGN_OR_RETURN(AlgebraExpr r, f(e.Right()));
+      if (e.kind() == Kind::kProduct) {
+        return AlgebraExpr::Product(std::move(l), std::move(r));
+      }
+      return e.kind() == Kind::kUnion
+                 ? AlgebraExpr::Union(std::move(l), std::move(r))
+                 : AlgebraExpr::Difference(std::move(l), std::move(r));
+    }
+    case Kind::kProject: {
+      STRDB_ASSIGN_OR_RETURN(AlgebraExpr c, f(e.Left()));
+      return AlgebraExpr::Project(std::move(c), e.columns());
+    }
+    case Kind::kRestrict: {
+      STRDB_ASSIGN_OR_RETURN(AlgebraExpr c, f(e.Left()));
+      return AlgebraExpr::RestrictToDomain(std::move(c));
+    }
+    case Kind::kSelect: {
+      STRDB_ASSIGN_OR_RETURN(AlgebraExpr c, f(e.Left()));
+      return AlgebraExpr::Select(std::move(c), e.keyed_fsa());
+    }
+  }
+  return Status::Internal("unknown algebra node kind");
 }
 
 bool AlgebraExpr::IsFinitelyEvaluable() const {

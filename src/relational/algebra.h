@@ -1,6 +1,7 @@
 #ifndef STRDB_RELATIONAL_ALGEBRA_H_
 #define STRDB_RELATIONAL_ALGEBRA_H_
 
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -67,6 +68,9 @@ class AlgebraExpr {
   // E ∩ F, the paper's shorthand for E \ (E \ F).
   static Result<AlgebraExpr> Intersect(AlgebraExpr a, AlgebraExpr b);
   static AlgebraExpr Product(AlgebraExpr a, AlgebraExpr b);
+  // π_columns(child), folded: over a π it fuses the two (π_a∘π_b =
+  // π_{b∘a}), and a projection keeping every column in order returns
+  // `child` itself.
   static Result<AlgebraExpr> Project(AlgebraExpr child,
                                      std::vector<int> columns);
   static Result<AlgebraExpr> Select(AlgebraExpr child, Fsa fsa);
@@ -152,6 +156,13 @@ void FlattenProduct(const AlgebraExpr& expr, std::vector<AlgebraExpr>* out);
 // The left-associated product of a non-empty factor list (the inverse of
 // FlattenProduct up to association).
 AlgebraExpr BuildProduct(std::vector<AlgebraExpr> factors);
+
+// Rebuilds `e` over its children mapped through `f` (a leaf is returned
+// as it is): the recursion the rewrite passes share.  Project folds as
+// always, so the result need not have `e`'s kind.
+Result<AlgebraExpr> MapChildren(
+    const AlgebraExpr& e,
+    const std::function<Result<AlgebraExpr>(const AlgebraExpr&)>& f);
 
 // Σ^{<=l} as a unary relation.  Its size Σ_{i<=l} |Σ|^i is computed
 // first, and a domain over options.max_tuples strings is refused with

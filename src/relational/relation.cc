@@ -33,27 +33,23 @@ Status StringRelation::Insert(Tuple tuple) {
         "tuple arity " + std::to_string(tuple.size()) +
         " differs from relation arity " + std::to_string(arity_));
   }
+  for (const std::string& s : tuple) {
+    max_len_ = std::max(max_len_, static_cast<int>(s.size()));
+  }
   tuples_.insert(std::move(tuple));
   return Status::OK();
-}
-
-int StringRelation::MaxStringLength() const {
-  int max_len = 0;
-  for (const Tuple& t : tuples_) {
-    for (const std::string& s : t) {
-      max_len = std::max(max_len, static_cast<int>(s.size()));
-    }
-  }
-  return max_len;
 }
 
 StringRelation StringRelation::TruncatedTo(int l) const {
   StringRelation out(arity_);
   for (const Tuple& t : tuples_) {
-    bool fits = std::all_of(t.begin(), t.end(), [l](const std::string& s) {
-      return static_cast<int>(s.size()) <= l;
-    });
-    if (fits) out.tuples_.insert(t);
+    int longest = 0;
+    for (const std::string& s : t) {
+      longest = std::max(longest, static_cast<int>(s.size()));
+    }
+    if (longest > l) continue;
+    out.tuples_.insert(out.tuples_.end(), t);
+    out.max_len_ = std::max(out.max_len_, longest);
   }
   return out;
 }

@@ -35,8 +35,9 @@ class StringRelation {
   const std::set<Tuple>& tuples() const { return tuples_; }
 
   // Length of the longest string in the relation (the paper's
-  // max(R, db), Eq. (2)); 0 for empty relations.
-  int MaxStringLength() const;
+  // max(R, db), Eq. (2)); 0 for empty relations.  Kept as tuples enter,
+  // so the lookup is O(1).
+  int MaxStringLength() const { return max_len_; }
 
   // Restriction to tuples whose components all have length <= l (the
   // ⟦·⟧^l truncation semantics keep only such tuples).
@@ -51,6 +52,7 @@ class StringRelation {
  private:
   int arity_;
   std::set<Tuple> tuples_;
+  int max_len_ = 0;
 };
 
 // A database db: a mapping from relation names to finite string

@@ -84,6 +84,20 @@ Result<bool> ParseSwitch(const std::vector<std::string>& words) {
   return Status::InvalidArgument("usage: " + words[0] + " on|off");
 }
 
+// Splits an optional "!N " prefix off a query text: N (capped at
+// Query::kMaxTruncation, as InferTruncation caps W) and the query after
+// it, or -1 and the whole text when there is no prefix.
+Result<std::pair<int, std::string>> SplitTruncation(const std::string& text) {
+  if (text.empty() || text[0] != '!') return std::make_pair(-1, text);
+  size_t sp = text.find(' ');
+  std::optional<int64_t> n =
+      sp == std::string::npos
+          ? std::nullopt
+          : ParseDecimal(text.substr(1, sp - 1), Query::kMaxTruncation);
+  if (!n.has_value()) return Status::InvalidArgument("usage: !N QUERY");
+  return std::make_pair(static_cast<int>(*n), text.substr(sp + 1));
+}
+
 void AppendLimits(const ResourceLimits& limits, std::string* out) {
   auto show = [](int64_t v) {
     return v > 0 ? std::to_string(v) : std::string("-");
@@ -245,19 +259,8 @@ Status CommandProcessor::HandleBudget(const std::vector<std::string>& words,
 
 Status CommandProcessor::HandleQuery(const std::string& text,
                                      std::string* out) {
-  int explicit_trunc = -1;
-  std::string body = text;
-  if (!body.empty() && body[0] == '!') {
-    size_t sp = body.find(' ');
-    // N is capped at Query::kMaxTruncation, as InferTruncation caps W.
-    std::optional<int64_t> n =
-        sp == std::string::npos
-            ? std::nullopt
-            : ParseDecimal(body.substr(1, sp - 1), Query::kMaxTruncation);
-    if (!n.has_value()) return Status::InvalidArgument("usage: !N QUERY");
-    explicit_trunc = static_cast<int>(*n);
-    body = body.substr(sp + 1);
-  }
+  STRDB_ASSIGN_OR_RETURN(auto split, SplitTruncation(text));
+  const auto& [explicit_trunc, body] = split;
   // One snapshot for the whole command: parse, truncation inference and
   // evaluation all see the same catalog — inline and spilled relations
   // as one consistent pair — whatever writers commit meanwhile.
@@ -348,14 +351,19 @@ Status CommandProcessor::HandlePlan(const std::string& text,
 
 Status CommandProcessor::HandleExplain(const std::string& text,
                                        std::string* out) {
+  STRDB_ASSIGN_OR_RETURN(auto split, SplitTruncation(text));
+  const auto& [explicit_trunc, body] = split;
   std::shared_ptr<const Database> snapshot;
   std::shared_ptr<const PagedSet> paged;
   std::shared_ptr<const StatsMap> rel_stats;
   catalog_->SnapshotState(&snapshot, &paged, &rel_stats);
-  Result<Query> q = Query::Parse(text, snapshot->alphabet());
+  Result<Query> q = Query::Parse(body, snapshot->alphabet());
   if (!q.ok()) return q.status();
   Result<std::string> plan =
-      q->ExplainPlan(*snapshot, paged.get(), rel_stats.get());
+      explicit_trunc >= 0
+          ? q->ExplainTruncated(*snapshot, explicit_trunc, paged.get(),
+                                rel_stats.get())
+          : q->ExplainPlan(*snapshot, paged.get(), rel_stats.get());
   if (!plan.ok()) return plan.status();
   AppendF(out, "%s", plan->c_str());
   return Status::OK();

@@ -183,6 +183,7 @@ const std::vector<const DiffTarget*>& AllTargets() {
     v->push_back(new PlannerDiffTarget());
     v->push_back(new ServerDiffTarget());
     v->push_back(new QueryCacheDiffTarget());
+    v->push_back(new TranslationDiffTarget());
     return v;
   }();
   return *targets;

@@ -124,7 +124,7 @@ Result<Reproducer> ParseReproducer(const std::string& file_text);
 Result<ConformanceReport> ReplayReproducer(const std::string& file_text);
 
 // The built-in target registry (kernel, dfa, engine, roundtrip,
-// storage, pager, planner, server, query_cache).
+// storage, pager, planner, server, query_cache, translation).
 // Pointers are to process-lifetime singletons.
 const std::vector<const DiffTarget*>& AllTargets();
 // nullptr when no target has that name.

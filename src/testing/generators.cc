@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <sstream>
 #include <utility>
 
 #include "fsa/compile.h"
@@ -88,6 +89,53 @@ Tuple RandomTuple(RandomSource& rand, const Alphabet& sigma, int tapes,
     tuple.push_back(rand.String(sigma, 0, max_len));
   }
   return tuple;
+}
+
+std::string TupleWords(const std::vector<Tuple>& tuples) {
+  std::string out;
+  for (const Tuple& t : tuples) {
+    out += ' ';
+    for (size_t i = 0; i < t.size(); ++i) {
+      if (i > 0) out += ',';
+      out += t[i].empty() ? "-" : t[i];
+    }
+  }
+  return out;
+}
+
+Result<std::vector<Tuple>> ParseTupleWords(std::istream& in, int arity) {
+  std::vector<Tuple> tuples;
+  std::string word;
+  while (in >> word) {
+    Tuple tuple;
+    std::istringstream parts(word);
+    std::string part;
+    while (std::getline(parts, part, ',')) {
+      tuple.push_back(part == "-" ? "" : part);
+    }
+    if (static_cast<int>(tuple.size()) != arity) {
+      return Status::InvalidArgument("tuple '" + word + "' is not of arity " +
+                                     std::to_string(arity));
+    }
+    tuples.push_back(std::move(tuple));
+  }
+  return tuples;
+}
+
+std::string Answer(const Result<StringRelation>& r) {
+  return r.ok() ? "ok " + r->ToString() : r.status().ToString();
+}
+
+bool SameAnswer(const Result<StringRelation>& a,
+                const Result<StringRelation>& b) {
+  for (const Result<StringRelation>* r : {&a, &b}) {
+    if (!r->ok() && r->status().code() == StatusCode::kResourceExhausted) {
+      return true;
+    }
+  }
+  if (a.ok() != b.ok()) return false;
+  return a.ok() ? a->tuples() == b->tuples()
+                : a.status().code() == b.status().code();
 }
 
 Database RandomDatabase(RandomSource& rand, const Alphabet& sigma) {

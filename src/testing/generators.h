@@ -1,6 +1,7 @@
 #ifndef STRDB_TESTING_GENERATORS_H_
 #define STRDB_TESTING_GENERATORS_H_
 
+#include <istream>
 #include <string>
 #include <vector>
 
@@ -42,6 +43,23 @@ bool HasBackwardMove(const Fsa& fsa);
 // A random tuple for `tapes` tapes, each string of length [0, max_len].
 Tuple RandomTuple(RandomSource& rand, const Alphabet& sigma, int tapes,
                   int max_len);
+
+// Tuples in the shell's syntax, as case files hold them: each tuple one
+// word after a space, components joined by ',', "-" for ε.
+std::string TupleWords(const std::vector<Tuple>& tuples);
+
+// The inverse of TupleWords over the words left in `in`, each a tuple
+// of `arity` components.
+Result<std::vector<Tuple>> ParseTupleWords(std::istream& in, int arity);
+
+// An evaluation's answer as a divergence message shows it.
+std::string Answer(const Result<StringRelation>& r);
+
+// Answers agree when both hold the same tuples or both fail with one
+// code (the evaluators word some errors differently).  An answer that
+// exhausted its resource budget on either side is not compared.
+bool SameAnswer(const Result<StringRelation>& a,
+                const Result<StringRelation>& b);
 
 // The small database every engine-vs-naive sweep runs against: unary
 // R0 and R1, binary P, each holding 0-3 random tuples of strings of

@@ -86,38 +86,6 @@ std::vector<Tuple> RandomTuples(RandomSource& rand, int arity, int min_count,
   return tuples;
 }
 
-// Tuples in the shell's syntax: components joined by ',', "-" for ε.
-std::string TupleWords(const std::vector<Tuple>& tuples) {
-  std::string out;
-  for (const Tuple& t : tuples) {
-    out += ' ';
-    for (size_t i = 0; i < t.size(); ++i) {
-      if (i > 0) out += ',';
-      out += t[i].empty() ? "-" : t[i];
-    }
-  }
-  return out;
-}
-
-Result<std::vector<Tuple>> ParseTupleWords(std::istringstream& in, int arity) {
-  std::vector<Tuple> tuples;
-  std::string word;
-  while (in >> word) {
-    Tuple tuple;
-    std::istringstream parts(word);
-    std::string part;
-    while (std::getline(parts, part, ',')) {
-      tuple.push_back(part == "-" ? "" : part);
-    }
-    if (static_cast<int>(tuple.size()) != arity) {
-      return Status::InvalidArgument("tuple '" + word + "' is not of arity " +
-                                     std::to_string(arity));
-    }
-    tuples.push_back(std::move(tuple));
-  }
-  return tuples;
-}
-
 // A status rendered for comparison: code and message.
 std::string Describe(const Status& s) {
   return s.ok() ? "ok" : s.ToString();
@@ -125,25 +93,6 @@ std::string Describe(const Status& s) {
 
 std::string Describe(const Result<int>& r) {
   return r.ok() ? "ok " + std::to_string(*r) : Describe(r.status());
-}
-
-std::string Answer(const Result<StringRelation>& r) {
-  return r.ok() ? "ok " + r->ToString() : Describe(r.status());
-}
-
-// Answers agree when both hold the same tuples or both fail with one
-// code (the evaluators word some errors differently).  An answer that
-// exhausted the case's budget on either side is not compared.
-bool SameAnswer(const Result<StringRelation>& a,
-                const Result<StringRelation>& b) {
-  for (const Result<StringRelation>* r : {&a, &b}) {
-    if (!r->ok() && r->status().code() == StatusCode::kResourceExhausted) {
-      return true;
-    }
-  }
-  if (a.ok() != b.ok()) return false;
-  return a.ok() ? a->ToString() == b->ToString()
-                : a.status().code() == b.status().code();
 }
 
 std::unique_ptr<QueryCacheCase> Clone(const QueryCacheCase& c) {

@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "calculus/query.h"
 #include "engine/engine.h"
 #include "fsa/accept.h"
 #include "fsa/codegen/program.h"
@@ -395,6 +396,48 @@ class QueryCacheDiffTarget : public DiffTarget {
   Result<CasePtr> Deserialize(const std::string& text) const override;
   std::vector<CasePtr> ShrinkCandidates(const Case& c) const override;
   int64_t CaseSize(const Case& c) const override;
+};
+
+// --- Theorem 4.2 translation vs the calculus evaluator ---------------------
+//
+// Case: a small catalog (unary U, binary B, ternary T, strings of length
+// 0-3) and a query text: relation atoms with repeated variables and
+// permuted argument orders, joins, string formulae, guarded negation
+// over relational and string bodies, a disjunction, ∃, and a head that
+// may reorder the outputs.  Oracle: the calculus evaluator
+// EvalCalcNaive, the one evaluator that does not read the translation
+// (both algebra routes evaluate its output, so engine-vs-naive cannot
+// see a translation mistake).  At every truncation l in
+// 0..max(R, db)+1 — below max(R, db) the planner keeps ↓l, from it on
+// it drops it — EvalAlgebra and the engine on the translated algebra,
+// and at the inferred truncation Query::Execute, must return exactly
+// ⟦φ⟧^l in the head's column order.  An answer that exhausts the case's
+// budget on either side is not compared.
+class TranslationDiffTarget : public DiffTarget {
+ public:
+  struct TranslationCase : Case {
+    Database db{Alphabet::Binary()};
+    std::string text;
+  };
+
+  std::string name() const override { return "translation"; }
+  CasePtr Generate(RandomSource& rand) const override;
+  std::optional<Divergence> Run(const Case& c) const override;
+  std::string Serialize(const Case& c) const override;
+  Result<CasePtr> Deserialize(const std::string& text) const override;
+  std::vector<CasePtr> ShrinkCandidates(const Case& c) const override;
+  int64_t CaseSize(const Case& c) const override;
+
+ protected:
+  // The algebra under test: the query's Theorem 4.2 translation under
+  // its head's π.  Overridable so the mutation self-test can plant a
+  // wrong translation and prove the harness catches, shrinks and
+  // reports it.
+  virtual Result<AlgebraExpr> Algebra(const Query& query) const;
+
+ private:
+  // Shared across cases like EngineDiffTarget's engine.
+  mutable Engine engine_;
 };
 
 // --- concurrent server vs serial replay ------------------------------------

@@ -271,6 +271,68 @@ TEST(CommandTest, OversizedDomainRefusesBeforeEnumerating) {
   }
 }
 
+// `explain !N QUERY` plans at truncation N, as `!N QUERY` runs: a query
+// outside §5's safe class can be explained, and a ↓l kept because N is
+// below max(R, db) shows.  N parses as a query's does.
+TEST(CommandTest, ExplainTakesAnExplicitTruncation) {
+  SharedCatalog catalog(Alphabet::Binary());
+  CommandProcessor proc(&catalog);
+  std::string out;
+  ASSERT_TRUE(proc.Execute("rel R ab", &out).ok());
+  out.clear();
+  ASSERT_TRUE(proc.Execute("explain !1 x | R(x)", &out).ok());
+  EXPECT_EQ(out.rfind("restrict  (arity 1", 0), 0u) << out;
+  EXPECT_NE(out.find("\n  scan R  (arity 1"), std::string::npos) << out;
+  out.clear();
+  ASSERT_TRUE(proc.Execute("explain x | R(x)", &out).ok());
+  EXPECT_EQ(out.rfind("scan R  (arity 1", 0), 0u) << out;
+  EXPECT_EQ(out.find("restrict"), std::string::npos) << out;
+  out.clear();
+  ASSERT_TRUE(proc.Execute("explain !3 x | !R(x)", &out).ok());
+  EXPECT_EQ(out.rfind("difference", 0), 0u) << out;
+  for (const char* line : {"explain !x x | R(x)", "explain !4097 x | R(x)",
+                           "explain !2"}) {
+    out.clear();
+    Status status = proc.Execute(line, &out);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << line;
+    EXPECT_EQ(status.message(), "usage: !N QUERY") << line;
+    EXPECT_EQ(out, "") << line;
+  }
+}
+
+// A guarded negation tests its guard's tuples and never enumerates the
+// domain: over a W holding a 20-character string (so l = 20) both
+// negations answer under `budget rows` = 4·|W|, and neither plan holds
+// a generator or a domain.  Enumerating Σ^{<=20} would charge the
+// 2^20 - 1 strings that start with `a`.
+TEST(CommandTest, GuardedNegationAnswersUnderARowBudgetOfItsGuard) {
+  SharedCatalog catalog(Alphabet::Binary());
+  CommandProcessor proc(&catalog, CommandProcessor::Mode::kServer);
+  proc.set_request_deadline_ms(2000);
+  const std::string starts_with_a = "x | W(x) & !([x]l(x = 'a'))";
+  const std::string contains_ab =
+      "x | W(x) & !(([x]l(true))* . [x]l(x = 'a') . [x]l(x = 'b'))";
+  RunTranscript(
+      proc,
+      {
+          {"rel W abba bab bbbb aaaaaaaaaabbbbbbbbbb",
+           "defined W/1 with 4 tuples\n", true, ""},
+          {"safe " + starts_with_a, "SAFE; inferred truncation W(db) = 20\n",
+           true, ""},
+          {"budget rows 16", "budget: steps=- rows=16 ms=- bytes=-\n", true,
+           ""},
+          {starts_with_a, "{(\"bab\"), (\"bbbb\")}   (2 tuples)\n", true,
+           ""},
+          {contains_ab, "{(\"bbbb\")}   (1 tuples)\n", true, ""},
+      });
+  for (const std::string& text : {starts_with_a, contains_ab}) {
+    std::string out;
+    ASSERT_TRUE(proc.Execute("explain " + text, &out).ok()) << text;
+    EXPECT_EQ(out.find("gen-select"), std::string::npos) << out;
+    EXPECT_EQ(out.find("domain"), std::string::npos) << out;
+  }
+}
+
 TEST(CommandTest, FrameResponseTerminatesBodies) {
   EXPECT_EQ(FrameResponse(Status::OK(), ""), "ok\n");
   EXPECT_EQ(FrameResponse(Status::OK(), "pong\n"), "pong\nok\n");

@@ -15,6 +15,7 @@
 #include <optional>
 #include <string>
 
+#include "calculus/query.h"
 #include "core/result.h"
 #include "fsa/accept.h"
 #include "fsa/kernel.h"
@@ -40,6 +41,7 @@ using testgen::Reproducer;
 using testgen::RngSource;
 using testgen::ShrinkCase;
 using testgen::StorageRecoverTarget;
+using testgen::TranslationDiffTarget;
 
 // A kernel that lies whenever the first tape is nonempty.  Small cases
 // with an all-empty tuple still agree, so the shrinker has a real floor
@@ -76,6 +78,29 @@ class PlantedTornWalTarget : public StorageRecoverTarget {
       Status s = env->SetFileContents(wal_path, wal.substr(0, wal.size() / 2));
       ASSERT_TRUE(s.ok()) << s;
     }
+  }
+};
+
+// A translation that drops the π reordering an atom's columns into
+// ascending variable order, so R(y, x) reads as R(x, y): the first cut
+// of the atom lowering had exactly this bug.  Only the calculus
+// evaluator can see it; both algebra routes evaluate the broken output.
+class PlantedTranslationTarget : public TranslationDiffTarget {
+ protected:
+  Result<AlgebraExpr> Algebra(const Query& query) const override {
+    return DropAtomReorders(query.plan());
+  }
+
+ private:
+  static Result<AlgebraExpr> DropAtomReorders(const AlgebraExpr& e) {
+    using Kind = AlgebraExpr::Kind;
+    // π over ↓l R keeping every column: the atom's reorder.
+    if (e.kind() == Kind::kProject && e.arity() == e.Left().arity() &&
+        e.Left().kind() == Kind::kRestrict &&
+        e.Left().Left().kind() == Kind::kRelation) {
+      return e.Left();
+    }
+    return MapChildren(e, DropAtomReorders);
   }
 };
 
@@ -143,6 +168,39 @@ TEST(ConformanceTest, PlantedTornWalIsCaught) {
   ASSERT_TRUE(c.ok()) << c.status();
   EXPECT_TRUE(planted.Run(**c).has_value())
       << "shrunk reproducer no longer diverges";
+}
+
+TEST(ConformanceTest, PlantedTranslationBugIsCaughtAndShrunk) {
+  PlantedTranslationTarget planted;
+  Result<ConformanceReport> report = RunConformance(planted, Options(1, 500));
+  ASSERT_TRUE(report.ok()) << report.status();
+  ASSERT_EQ(report->divergences, 1)
+      << "a dropped atom reorder went unnoticed: " << report->ToString();
+  EXPECT_NE(report->summary.find("differs from the calculus evaluator"),
+            std::string::npos)
+      << report->summary;
+  EXPECT_LT(report->size_after_shrink, report->size_before_shrink)
+      << report->ToString();
+
+  // The minimised case still diverges under the planted translation and
+  // agrees under the real one.
+  ASSERT_FALSE(report->repro_path.empty());
+  std::FILE* f = std::fopen(report->repro_path.c_str(), "rb");
+  ASSERT_NE(f, nullptr) << report->repro_path;
+  std::string text;
+  char buf[4096];
+  size_t got;
+  while ((got = std::fread(buf, 1, sizeof(buf), f)) > 0) text.append(buf, got);
+  std::fclose(f);
+  Result<Reproducer> repro = ParseReproducer(text);
+  ASSERT_TRUE(repro.ok()) << repro.status();
+  EXPECT_EQ(repro->target, "translation");
+  Result<DiffTarget::CasePtr> c = planted.Deserialize(repro->case_text);
+  ASSERT_TRUE(c.ok()) << c.status();
+  EXPECT_TRUE(planted.Run(**c).has_value())
+      << "shrunk reproducer no longer diverges";
+  EXPECT_FALSE(TranslationDiffTarget().Run(**c).has_value())
+      << repro->case_text;
 }
 
 TEST(ConformanceTest, ShrinkerStrictlyReducesAndIsIdempotent) {

@@ -5,13 +5,18 @@
 // (thread pool, artifact cache, rewrite passes, explain output) behave.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <cstdlib>
 #include <optional>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "calculus/eval.h"
+#include "calculus/query.h"
 #include "core/budget.h"
 #include "core/metrics.h"
 #include "core/thread_pool.h"
@@ -289,9 +294,14 @@ TEST(RewriteTest, PushdownPullsDisregardedFactorsOut) {
   only_pushdown.common_subexpressions = false;
   Result<AlgebraExpr> rewritten = RewriteExpr(*sel, db, only_pushdown);
   ASSERT_TRUE(rewritten.ok()) << rewritten.status();
-  // The selection now reads only the Pairs columns; R1 joins outside it.
-  EXPECT_EQ(rewritten->kind(), AlgebraExpr::Kind::kProject);
+  // The selection now reads only Pairs' two tapes; R1 joins outside it.
+  // The column order is unchanged, so no π restores it.
+  ASSERT_EQ(rewritten->kind(), AlgebraExpr::Kind::kProduct);
   EXPECT_EQ(rewritten->arity(), sel->arity());
+  ASSERT_EQ(rewritten->Left().kind(), AlgebraExpr::Kind::kSelect);
+  EXPECT_EQ(rewritten->Left().fsa().num_tapes(), 2);
+  EXPECT_EQ(rewritten->Left().Left().ToString(), "Pairs");
+  EXPECT_EQ(rewritten->Right().ToString(), "R1");
   Result<StringRelation> before = EvalAlgebra(*sel, db, kOpts);
   Result<StringRelation> after = EvalAlgebra(*rewritten, db, kOpts);
   ASSERT_TRUE(before.ok() && after.ok());
@@ -924,6 +934,135 @@ TEST(EngineTest, ExplainAnnotatesEstimatedAndActualRows) {
     EXPECT_TRUE(std::isfinite(row.est)) << row.op;
     EXPECT_GE(row.est, 0) << row.op;
     EXPECT_GE(row.act, 0) << row.op;
+  }
+}
+
+// Sums the `self=` of every operator line of an executed plan (a shared
+// node's repeated line once) and returns it with the root's `time=`.
+std::pair<double, double> SelfSumAndRootTime(const std::string& plan) {
+  auto field = [](const std::string& line, const std::string& name) {
+    size_t at = line.find(" " + name + "=");
+    EXPECT_NE(at, std::string::npos) << name << ": " << line;
+    return at == std::string::npos
+               ? 0.0
+               : std::strtod(line.c_str() + at + name.size() + 2, nullptr);
+  };
+  std::istringstream in(plan);
+  std::string line;
+  double self_sum = 0;
+  double root = -1;
+  while (std::getline(in, line)) {
+    if (line.find("time=") == std::string::npos) continue;
+    if (root < 0) root = field(line, "time");
+    if (line.find("(shared, evaluated once)") != std::string::npos) continue;
+    self_sum += field(line, "self");
+  }
+  return {self_sum, root};
+}
+
+TEST(EngineTest, SelfTimesSumToTheRootTime) {
+  Database db = MakeDb();
+  Fsa eq = Compile("([x,y]l(x = y))* . [x,y]l(x = ~ & y = ~)",
+                   db.alphabet(), {"x", "y"});
+  // A product of two equal selections: the second reads the first's
+  // memoised result, which must cost it nothing.
+  Result<AlgebraExpr> a =
+      AlgebraExpr::Select(AlgebraExpr::Relation("Pairs", 2), Fsa(eq));
+  Result<AlgebraExpr> b =
+      AlgebraExpr::Select(AlgebraExpr::Relation("Pairs", 2), Fsa(eq));
+  ASSERT_TRUE(a.ok() && b.ok());
+  for (const AlgebraExpr& query :
+       {AlgebraExpr::Product(*a, *b), ConcatQuery(db.alphabet())}) {
+    Engine engine;
+    ExecStats stats;
+    ASSERT_TRUE(engine.Execute(query, db, kOpts, &stats).ok());
+    auto [self_sum, root] = SelfSumAndRootTime(stats.plan);
+    ASSERT_GT(root, 0) << stats.plan;
+    EXPECT_NEAR(self_sum, root, 0.02 * root) << stats.plan;
+  }
+}
+
+// An atom lowers to the operators its semantics needs: a scan, a π only
+// to reorder or drop columns, a σ only where a variable repeats, and a
+// ↓l only when the truncation is below max(R, db).
+TEST(EngineTest, AtomsLowerToTheirScans) {
+  Database db = MakeDb();
+  struct Shape {
+    const char* text;
+    int truncation;  // -1 = inferred
+    const char* plan;
+  };
+  for (const Shape& shape : std::vector<Shape>{
+           {"x | R1(x)", -1, "scan R1"},
+           {"x, y | Pairs(x, y)", -1, "scan Pairs"},
+           {"y, x | Pairs(x, y)", -1, "project[1,0] > scan Pairs"},
+           {"x, y | Pairs(y, x)", -1, "project[1,0] > scan Pairs"},
+           {"y, x | Pairs(y, x)", -1, "scan Pairs"},
+           {"x | exists y: Pairs(x, y)", -1, "project[0] > scan Pairs"},
+           {"x | Pairs(x, x)", -1, "project[0] > filter-select > scan Pairs"},
+           {"x, y | R1(x) & R3(y)", -1, "product > scan R1 > scan R3"},
+           {"x | R1(x)", 1, "restrict > scan R1"},
+           {"x | R1(x)", 2, "scan R1"},
+       }) {
+    Result<Query> q = Query::Compile(shape.text, db.alphabet());
+    ASSERT_TRUE(q.ok()) << q.status();
+    Result<std::string> plan =
+        shape.truncation < 0 ? q->ExplainPlan(db)
+                             : q->ExplainTruncated(db, shape.truncation);
+    ASSERT_TRUE(plan.ok()) << plan.status();
+    // One operator per line, without a σ's automaton size, joined with
+    // " > ".
+    std::string ops;
+    std::istringstream in(*plan);
+    std::string line;
+    while (std::getline(in, line)) {
+      size_t begin = line.find_first_not_of(' ');
+      size_t end = std::min(line.find("  (", begin), line.find("[fsa:"));
+      ops += (ops.empty() ? "" : " > ") + line.substr(begin, end - begin);
+    }
+    EXPECT_EQ(ops, shape.plan) << shape.text << " at " << shape.truncation;
+  }
+}
+
+// A guarded negation tests its guard's tuples and never enumerates
+// Σ^{<=l}: over a W holding a 20-character string (so the inferred l is
+// 20) both negations answer under a row budget of 4·|W|, with no
+// generator or domain in the plan.  Without the rewrite the negated σ
+// generated the 2^20 - 1 strings of Σ^{<=20} that start with `a`.
+TEST(EngineTest, GuardedNegationNeverEnumeratesTheDomain) {
+  Database db(Alphabet::Binary());
+  const std::vector<Tuple> w = {
+      {"abba"}, {"bab"}, {"bbbb"}, {"aaaaaaaaaabbbbbbbbbb"}};
+  ASSERT_TRUE(db.Put("W", 1, w).ok());
+  for (const char* text :
+       {"x | W(x) & !([x]l(x = 'a'))",
+        "x | W(x) & !(([x]l(true))* . [x]l(x = 'a') . [x]l(x = 'b'))"}) {
+    Result<Query> q = Query::Compile(text, db.alphabet());
+    ASSERT_TRUE(q.ok()) << q.status();
+    Result<int> l = q->InferTruncation(db);
+    ASSERT_TRUE(l.ok()) << l.status();
+    ASSERT_EQ(*l, 20);
+    Result<std::string> plan = q->ExplainPlan(db);
+    ASSERT_TRUE(plan.ok()) << plan.status();
+    EXPECT_EQ(plan->find("gen-select"), std::string::npos) << *plan;
+    EXPECT_EQ(plan->find("domain"), std::string::npos) << *plan;
+    QueryOptions options;
+    options.limits.max_rows = 4 * static_cast<int64_t>(w.size());
+    Result<StringRelation> answer = q->Execute(db, options);
+    ASSERT_TRUE(answer.ok()) << text << ": " << answer.status();
+    // The calculus evaluator's answer: only W's tuples can satisfy the
+    // guard, so ⟦φ⟧^l is the tuples of W at which φ holds.
+    CalcEvalOptions calc;
+    calc.truncation = *l;
+    std::set<Tuple> expected;
+    for (const Tuple& t : w) {
+      Result<bool> holds = HoldsAt(q->formula(), db, {{"x", t[0]}}, calc);
+      ASSERT_TRUE(holds.ok()) << holds.status();
+      if (*holds) expected.insert(t);
+    }
+    EXPECT_EQ(answer->tuples(), expected) << text;
+    EXPECT_FALSE(expected.empty()) << text;
+    EXPECT_LT(expected.size(), w.size()) << text;
   }
 }
 
