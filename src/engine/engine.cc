@@ -415,10 +415,11 @@ class Executor {
 
   // σ_A as a filter.  A spilled child that no other parent materialised
   // is streamed: its heap's decoded batches go through acceptance one by
-  // one and only survivors are kept, so peak memory is the buffer-pool
-  // cap plus one batch plus the output.  Any other child is evaluated
-  // and filtered as a single batch.  Both routes reach the same verdicts;
-  // only where budget errors surface can differ.
+  // one and only survivors are moved out, so peak memory is the
+  // buffer-pool cap plus one batch plus the output.  Any other child is
+  // evaluated and filtered as a single batch, its survivors copied.
+  // Both routes reach the same verdicts; only where budget errors
+  // surface can differ.
   Result<StringRelation> FilterSelect(PlanNode* node) {
     STRDB_ASSIGN_OR_RETURN(std::shared_ptr<const Acceptor> acceptor,
                            AcceptorFor(node));
@@ -432,7 +433,7 @@ class Executor {
       // not the scan's.
       int64_t filter_ns = 0;
       STRDB_RETURN_IF_ERROR(child->source->Scan(
-          [&](const std::vector<Tuple>& batch) -> Status {
+          [&](std::vector<Tuple>& batch) -> Status {
             const Clock::time_point filter_start = Clock::now();
             int64_t n = static_cast<int64_t>(batch.size());
             node->stats.tuples_in += n;
@@ -444,7 +445,7 @@ class Executor {
             }
             tuples.clear();
             for (const Tuple& t : batch) tuples.push_back(&t);
-            Status filtered = Filter(node, *acceptor, tuples, &out);
+            Status filtered = Filter(node, *acceptor, tuples, &batch, &out);
             filter_ns += ElapsedNs(filter_start);
             STRDB_RETURN_IF_ERROR(filtered);
             if (out.size() > options_.max_tuples) {
@@ -464,17 +465,19 @@ class Executor {
     node->stats.tuples_in = rel->size();
     tuples.reserve(static_cast<size_t>(rel->size()));
     for (const Tuple& t : rel->tuples()) tuples.push_back(&t);
-    STRDB_RETURN_IF_ERROR(Filter(node, *acceptor, tuples, &out));
+    STRDB_RETURN_IF_ERROR(Filter(node, *acceptor, tuples, nullptr, &out));
     return out;
   }
 
-  // Decides `tuples` and inserts the accepted ones into `out`.  Inputs
-  // of at least parallel_threshold tuples are split into chunks across
-  // the pool, one AcceptBatch per chunk; the merge runs in input order,
-  // so the result and the first error surfaced do not depend on how the
-  // chunks were scheduled.
+  // Decides `tuples` and inserts the accepted ones into `out`: moved out
+  // of `owned` when the caller owns them (tuples[i] == &(*owned)[i]),
+  // copied otherwise.  Inputs of at least parallel_threshold tuples are
+  // split into chunks across the pool, one AcceptBatch per chunk; the
+  // merge runs in input order, so the result and the first error
+  // surfaced do not depend on how the chunks were scheduled.
   Status Filter(PlanNode* node, const Acceptor& acceptor,
-                std::span<const Tuple* const> tuples, StringRelation* out) {
+                std::span<const Tuple* const> tuples,
+                std::vector<Tuple>* owned, StringRelation* out) {
     AcceptOptions accept_opts;
     accept_opts.budget = options_.budget;  // shared account; charging is atomic
     const int64_t n = static_cast<int64_t>(tuples.size());
@@ -501,9 +504,9 @@ class Executor {
     node->stats.fsa_steps += result.configurations_visited;
     for (size_t i = 0; i < tuples.size(); ++i) {
       STRDB_RETURN_IF_ERROR(result.statuses[i]);
-      if (result.accepted[i]) {
-        STRDB_RETURN_IF_ERROR(out->Insert(*tuples[i]));
-      }
+      if (!result.accepted[i]) continue;
+      STRDB_RETURN_IF_ERROR(out->Insert(
+          owned != nullptr ? std::move((*owned)[i]) : *tuples[i]));
     }
     return Status::OK();
   }

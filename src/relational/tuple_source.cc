@@ -4,9 +4,9 @@ namespace strdb {
 
 Result<StringRelation> TupleSource::Materialize() const {
   StringRelation out(arity());
-  Status status = Scan([&out](const std::vector<Tuple>& batch) -> Status {
-    for (const Tuple& t : batch) {
-      STRDB_RETURN_IF_ERROR(out.Insert(t));
+  Status status = Scan([&out](std::vector<Tuple>& batch) -> Status {
+    for (Tuple& t : batch) {
+      STRDB_RETURN_IF_ERROR(out.Insert(std::move(t)));
     }
     return Status::OK();
   });

@@ -32,11 +32,12 @@ class TupleSource {
   virtual int max_string_length() const = 0;
 
   // Streams every tuple, in order, as a sequence of batches.  A non-OK
-  // status from `on_batch` aborts the scan and is returned unchanged;
-  // the batch vector is only valid for the duration of the callback.
+  // status from `on_batch` aborts the scan and is returned unchanged.
+  // The batch belongs to the callback for its duration: it may move
+  // tuples out (a filter keeps its survivors without copying them), and
+  // whatever it leaves behind is discarded when it returns.
   virtual Status Scan(
-      const std::function<Status(const std::vector<Tuple>&)>& on_batch)
-      const = 0;
+      const std::function<Status(std::vector<Tuple>&)>& on_batch) const = 0;
 
   // Materialises the whole relation in memory (the differential oracle,
   // and the write path when a spilled relation receives new tuples).

@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <cstring>
-#include <iterator>
 #include <map>
+#include <utility>
 
 namespace strdb {
 
@@ -47,6 +47,50 @@ int64_t PagesFor(int64_t bytes) {
 Status HeapCorrupt(const std::string& path, const std::string& what) {
   return Status::DataLoss("heap '" + path + "': " + what);
 }
+
+using IdCell = std::pair<uint32_t, uint32_t>;
+
+// Sorts (id, cell) pairs by id: an LSD radix sort, one counting pass per
+// significant byte of `max_id`.  A run holds at most kPagePayload / 4
+// cells, where a comparison sort cost more than the whole decode.
+void SortById(uint32_t max_id, std::vector<IdCell>* pairs) {
+  std::vector<IdCell> scratch(pairs->size());
+  for (int shift = 0; shift < 32 && (max_id >> shift) != 0; shift += 8) {
+    size_t start[257] = {};
+    for (const IdCell& p : *pairs) ++start[((p.first >> shift) & 0xFF) + 1];
+    for (int b = 0; b < 256; ++b) start[b + 1] += start[b];
+    for (const IdCell& p : *pairs) {
+      scratch[start[(p.first >> shift) & 0xFF]++] = p;
+    }
+    pairs->swap(scratch);
+  }
+}
+
+// One pinned page of a heap file.  Moving to another page unpins the
+// old one before pinning the new, so a cursor never holds more than one
+// page; staying on the same page costs nothing.
+class PageCursor {
+ public:
+  PageCursor(BufferPool* pool, const std::string* path)
+      : pool_(pool), path_(path) {}
+
+  // The payload of page `page_index`, valid until the next At call.
+  Result<const char*> At(int64_t page_index) {
+    if (page_index != page_index_) {
+      ref_ = PageRef();
+      page_index_ = -1;
+      STRDB_ASSIGN_OR_RETURN(ref_, pool_->Pin(*path_, page_index));
+      page_index_ = page_index;
+    }
+    return ref_.data().data();
+  }
+
+ private:
+  BufferPool* pool_;
+  const std::string* path_;
+  PageRef ref_;
+  int64_t page_index_ = -1;
+};
 
 }  // namespace
 
@@ -293,72 +337,91 @@ Result<std::shared_ptr<const PagedHeap>> PagedHeap::Open(
   return std::shared_ptr<const PagedHeap>(std::move(heap));
 }
 
-Status PagedHeap::ReadDictData(int64_t offset, int64_t n,
-                               std::string* out) const {
-  if (offset < 0 || n < 0 || offset + n > dict_data_bytes_) {
-    return HeapCorrupt(path_, "dictionary offset out of range");
-  }
-  out->clear();
-  while (n > 0) {
-    int64_t page = dict_data_first_page_ + offset / kPagePayload;
-    int64_t in_page = offset % kPagePayload;
-    int64_t take = std::min<int64_t>(n, kPagePayload - in_page);
-    STRDB_ASSIGN_OR_RETURN(PageRef ref, pool_->Pin(path_, page));
-    out->append(ref.data(), static_cast<size_t>(in_page),
-                static_cast<size_t>(take));
-    offset += take;
-    n -= take;
-  }
-  return Status::OK();
-}
-
-Status PagedHeap::GetString(uint32_t id, std::string* out) const {
-  if (static_cast<int64_t>(id) >= dict_count_) {
-    return HeapCorrupt(path_, "dictionary id " + std::to_string(id) +
-                                  " >= count " + std::to_string(dict_count_));
-  }
-  int64_t index_page =
-      dict_index_first_page_ + static_cast<int64_t>(id) / kOffsetsPerPage;
-  int64_t slot = static_cast<int64_t>(id) % kOffsetsPerPage;
-  int64_t offset;
-  {
-    STRDB_ASSIGN_OR_RETURN(PageRef ref, pool_->Pin(path_, index_page));
-    offset = static_cast<int64_t>(GetU64(ref.data().data() + slot * 8));
-  }
-  std::string len_bytes;
-  STRDB_RETURN_IF_ERROR(ReadDictData(offset, 4, &len_bytes));
-  int64_t len = static_cast<int64_t>(GetU32(len_bytes.data()));
-  if (len > dict_data_bytes_ - offset - 4) {
-    return HeapCorrupt(path_, "dictionary entry overruns data region");
-  }
-  return ReadDictData(offset + 4, len, out);
-}
-
 Status PagedHeap::ScanRun(int64_t index, std::vector<Tuple>* out) const {
-  out->clear();
   if (index < 0 || index >= static_cast<int64_t>(runs_.size())) {
     return Status::InvalidArgument("run index out of range");
   }
-  const RunInfo& info = runs_[static_cast<size_t>(index)];
-  STRDB_ASSIGN_OR_RETURN(PageRef page, pool_->Pin(path_, run_first_page_ + index));
-  const char* rows = page.data().data();
-  out->reserve(static_cast<size_t>(info.row_count));
-  for (int64_t r = 0; r < info.row_count; ++r) {
-    Tuple t;
-    t.reserve(static_cast<size_t>(arity_));
-    for (int a = 0; a < arity_; ++a) {
-      uint32_t id = GetU32(rows + (r * arity_ + a) * 4);
-      std::string s;
-      STRDB_RETURN_IF_ERROR(GetString(id, &s));
-      t.push_back(std::move(s));
+  const int64_t rows = runs_[static_cast<size_t>(index)].row_count;
+  const size_t cells = static_cast<size_t>(rows * arity_);
+
+  // (id, cell) pairs, cell = row * arity + column, sorted by id.
+  std::vector<IdCell> order(cells);
+  uint32_t max_id = 0;
+  {
+    STRDB_ASSIGN_OR_RETURN(PageRef page,
+                           pool_->Pin(path_, run_first_page_ + index));
+    const char* ids = page.data().data();
+    for (size_t c = 0; c < cells; ++c) {
+      order[c] = {GetU32(ids + 4 * c), static_cast<uint32_t>(c)};
+      max_id = std::max(max_id, order[c].first);
     }
-    out->push_back(std::move(t));
+  }
+  SortById(max_id, &order);
+
+  const size_t first_row = out->size();
+  out->resize(first_row + static_cast<size_t>(rows),
+              Tuple(static_cast<size_t>(arity_)));
+  auto cell = [&](uint32_t c) -> std::string& {
+    return (*out)[first_row + c / arity_][c % arity_];
+  };
+  PageCursor index_pages(pool_.get(), &path_);
+  PageCursor data_pages(pool_.get(), &path_);
+  // Copies [offset, offset + n) of the logical dict data region to dst;
+  // the caller has checked the range.
+  auto read_data = [&](int64_t offset, int64_t n, char* dst) -> Status {
+    while (n > 0) {
+      const int64_t in_page = offset % kPagePayload;
+      const int64_t take = std::min<int64_t>(n, kPagePayload - in_page);
+      STRDB_ASSIGN_OR_RETURN(
+          const char* page,
+          data_pages.At(dict_data_first_page_ + offset / kPagePayload));
+      std::memcpy(dst, page + in_page, static_cast<size_t>(take));
+      dst += take;
+      offset += take;
+      n -= take;
+    }
+    return Status::OK();
+  };
+
+  std::string s;
+  for (size_t i = 0; i < cells;) {
+    const uint32_t id = order[i].first;
+    if (static_cast<int64_t>(id) >= dict_count_) {
+      return HeapCorrupt(path_, "dictionary id " + std::to_string(id) +
+                                    " >= count " + std::to_string(dict_count_));
+    }
+    STRDB_ASSIGN_OR_RETURN(
+        const char* slots,
+        index_pages.At(dict_index_first_page_ + id / kOffsetsPerPage));
+    const uint64_t offset = GetU64(slots + (id % kOffsetsPerPage) * 8);
+    if (offset > static_cast<uint64_t>(dict_data_bytes_) ||
+        dict_data_bytes_ - static_cast<int64_t>(offset) < 4) {
+      return HeapCorrupt(path_, "dictionary offset out of range");
+    }
+    char len_bytes[4];
+    STRDB_RETURN_IF_ERROR(
+        read_data(static_cast<int64_t>(offset), 4, len_bytes));
+    const int64_t len = GetU32(len_bytes);
+    if (len > dict_data_bytes_ - static_cast<int64_t>(offset) - 4) {
+      return HeapCorrupt(path_, "dictionary entry overruns data region");
+    }
+    s.resize(static_cast<size_t>(len));
+    STRDB_RETURN_IF_ERROR(
+        read_data(static_cast<int64_t>(offset) + 4, len, s.data()));
+    // Every cell holding this id gets the string: copies, then the
+    // original moved into the last one.
+    size_t j = i + 1;
+    for (; j < cells && order[j].first == id; ++j) {
+      cell(order[j - 1].second) = s;
+    }
+    cell(order[j - 1].second) = std::move(s);
+    i = j;
   }
   return Status::OK();
 }
 
 Status PagedHeap::Scan(
-    const std::function<Status(const std::vector<Tuple>&)>& on_batch) const {
+    const std::function<Status(std::vector<Tuple>&)>& on_batch) const {
   if (arity_ == 0) {
     if (tuple_count_ == 1) {
       std::vector<Tuple> batch;
@@ -374,15 +437,9 @@ Status PagedHeap::Scan(
   // 64-lane interpreter — which under-fill on page-sized crumbs.  At
   // most one coalesced batch is resident at a time, so the peak-memory
   // contract only grows from "one run" to "one batch".
-  std::vector<Tuple> batch, run_rows;
+  std::vector<Tuple> batch;
   for (int64_t run = 0; run < static_cast<int64_t>(runs_.size()); ++run) {
-    STRDB_RETURN_IF_ERROR(ScanRun(run, &run_rows));
-    if (batch.empty()) {
-      batch.swap(run_rows);
-    } else {
-      batch.insert(batch.end(), std::make_move_iterator(run_rows.begin()),
-                   std::make_move_iterator(run_rows.end()));
-    }
+    STRDB_RETURN_IF_ERROR(ScanRun(run, &batch));
     if (static_cast<int64_t>(batch.size()) >= kScanBatchMinRows) {
       STRDB_RETURN_IF_ERROR(on_batch(batch));
       batch.clear();

@@ -81,24 +81,26 @@ class PagedHeap : public TupleSource {
   // on_batch call carries at least kScanBatchMinRows tuples (the final
   // batch flushes whatever remains).  Batch boundaries always align
   // with run boundaries.
-  Status Scan(const std::function<Status(const std::vector<Tuple>&)>& on_batch)
+  Status Scan(const std::function<Status(std::vector<Tuple>&)>& on_batch)
       const override;
 
   const std::vector<RunInfo>& runs() const { return runs_; }
   const std::string& path() const { return path_; }
   int64_t file_pages() const { return total_pages_; }
 
-  // Decodes run `index` into `out` (cleared first).
+  // Decodes run `index` and appends its tuples to `out`.  The run page's
+  // ids are copied out and the page unpinned; the cells are then decoded
+  // in ascending id order, which walks the dictionary index and data
+  // pages forward, so each distinct string is read once and each
+  // dictionary page pinned once per run (a damaged, non-monotone index
+  // costs re-pins, never a wrong answer).  At most two pages are pinned
+  // at a time: one index page and one data page.  On an error `out` may
+  // hold the run's rows half decoded; the caller discards it.
   Status ScanRun(int64_t index, std::vector<Tuple>* out) const;
 
  private:
   PagedHeap(std::shared_ptr<BufferPool> pool, std::string path)
       : pool_(std::move(pool)), path_(std::move(path)) {}
-
-  // Looks up dictionary entry `id` through the pool.
-  Status GetString(uint32_t id, std::string* out) const;
-  // Copies [offset, offset+n) of the logical dict data region.
-  Status ReadDictData(int64_t offset, int64_t n, std::string* out) const;
 
   std::shared_ptr<BufferPool> pool_;
   std::string path_;

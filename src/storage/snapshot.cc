@@ -58,6 +58,26 @@ std::string RenderSnapshot(const Database& db,
 
 }  // namespace
 
+Result<size_t> VerifySnapshotTrailer(std::string_view data) {
+  size_t crc_pos = data.rfind("\ncrc32 ");
+  if (crc_pos == std::string_view::npos) {
+    return Status::DataLoss("missing crc32 trailer (truncated?)");
+  }
+  std::string_view hex = data.substr(crc_pos + 7);
+  while (!hex.empty() && (hex.back() == '\n' || hex.back() == '\r')) {
+    hex.remove_suffix(1);
+  }
+  uint32_t stated = 0;
+  if (!ParseCrc32Hex(std::string(hex), &stated)) {
+    return Status::DataLoss("malformed crc32 trailer");
+  }
+  const size_t body_len = crc_pos + 1;
+  if (Crc32(data.data(), body_len) != stated) {
+    return Status::DataLoss("checksum mismatch");
+  }
+  return body_len;
+}
+
 Status WriteSnapshot(Env* env, const std::string& dir,
                      const std::string& tmp_path, const std::string& path,
                      const Database& db,
@@ -97,24 +117,15 @@ Status ReadSnapshot(Env* env, const std::string& path, Database* db,
     return Status::OK();
   }));
 
-  // Verify the trailer before believing a single byte.
-  size_t crc_pos = data.rfind("\ncrc32 ");
-  if (crc_pos == std::string::npos) {
+  // Verify the trailer before believing a single byte, then drop it:
+  // the body is the checksummed prefix, kept in place.
+  Result<size_t> body_len = VerifySnapshotTrailer(data);
+  if (!body_len.ok()) {
     return Status::DataLoss("snapshot '" + path +
-                            "': missing crc32 trailer (truncated?)");
+                            "': " + body_len.status().message());
   }
-  std::string hex = data.substr(crc_pos + 7);
-  while (!hex.empty() && (hex.back() == '\n' || hex.back() == '\r')) {
-    hex.pop_back();
-  }
-  uint32_t stated = 0;
-  if (!ParseCrc32Hex(hex, &stated)) {
-    return Status::DataLoss("snapshot '" + path + "': malformed crc32 trailer");
-  }
-  std::string body = data.substr(0, crc_pos + 1);
-  if (Crc32(body) != stated) {
-    return Status::DataLoss("snapshot '" + path + "': checksum mismatch");
-  }
+  data.resize(*body_len);
+  const std::string& body = data;
 
   // Header lines.  The body is trusted from here on (checksummed), so
   // parse failures are still reported as corruption, just with a precise

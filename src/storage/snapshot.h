@@ -1,10 +1,11 @@
 #ifndef STRDB_STORAGE_SNAPSHOT_H_
 #define STRDB_STORAGE_SNAPSHOT_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <string>
-
+#include <string_view>
 #include <vector>
 
 #include "core/alphabet.h"
@@ -43,6 +44,13 @@ Status WriteSnapshot(Env* env, const std::string& dir,
                      const std::map<std::string, std::string>& automata,
                      const RetryPolicy& retry, int64_t* io_retries = nullptr,
                      const std::vector<CatalogOp>* spills = nullptr);
+
+// Checks the crc32 trailer of snapshot bytes `data` where they lie (no
+// copy).  Returns the length of the checksummed body — everything up to
+// and including the newline before "crc32 " — or kDataLoss whose
+// message is the reason alone ("checksum mismatch", ...).  ReadSnapshot
+// and the store's scrubber share this one check.
+Result<size_t> VerifySnapshotTrailer(std::string_view data);
 
 // Loads `path` into `db` (which must be empty) and `automata`.
 // kDataLoss on corruption, kUnimplemented on a version mismatch,

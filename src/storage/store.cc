@@ -101,7 +101,7 @@ class LostTupleSource : public TupleSource {
   int64_t tuple_count() const override { return tuple_count_; }
   int max_string_length() const override { return max_string_length_; }
 
-  Status Scan(const std::function<Status(const std::vector<Tuple>&)>&)
+  Status Scan(const std::function<Status(std::vector<Tuple>&)>&)
       const override {
     return Status::DataLoss("relation '" + name_ +
                             "' is quarantined: " + reason_);
@@ -114,30 +114,6 @@ class LostTupleSource : public TupleSource {
   int max_string_length_;
   std::string reason_;
 };
-
-// Verifies the crc32 trailer of a snapshot file's bytes (the same check
-// ReadSnapshot performs before parsing anything).
-bool SnapshotChecksumOk(const std::string& data, std::string* why) {
-  size_t crc_pos = data.rfind("\ncrc32 ");
-  if (crc_pos == std::string::npos) {
-    *why = "missing crc32 trailer (truncated?)";
-    return false;
-  }
-  std::string hex = data.substr(crc_pos + 7);
-  while (!hex.empty() && (hex.back() == '\n' || hex.back() == '\r')) {
-    hex.pop_back();
-  }
-  uint32_t stated = 0;
-  if (!ParseCrc32Hex(hex, &stated)) {
-    *why = "malformed crc32 trailer";
-    return false;
-  }
-  if (Crc32(data.substr(0, crc_pos + 1)) != stated) {
-    *why = "checksum mismatch";
-    return false;
-  }
-  return true;
-}
 
 // CRC-walks the raw bytes of a paged file.  Returns the number of pages
 // verified before the first failure; `why` is set (and false returned)
@@ -159,8 +135,7 @@ bool VerifyPagedBytes(const std::string& content, int64_t* pages_ok,
                       (static_cast<uint32_t>(t[1]) << 8) |
                       (static_cast<uint32_t>(t[2]) << 16) |
                       (static_cast<uint32_t>(t[3]) << 24);
-    if (Crc32(std::string(page, static_cast<size_t>(kPagePayload))) !=
-        stated) {
+    if (Crc32(page, static_cast<size_t>(kPagePayload)) != stated) {
       *why = "page " + std::to_string(i) + " checksum mismatch";
       return false;
     }
@@ -945,16 +920,16 @@ Status CatalogStore::ScrubNow(ScrubReport* out) {
     if (wal_ == nullptr) return Status::Internal("store is closed");
     if (generation_ > 0) {
       auto read = env_->ReadFile(SnapPath(generation_));
-      std::string why;
       if (!read.ok()) {
         report.snapshot_ok = false;
         report.crc_failures++;
         report.errors.push_back("snapshot unreadable: " +
                                 read.status().ToString());
-      } else if (!SnapshotChecksumOk(*read, &why)) {
+      } else if (Result<size_t> trailer = VerifySnapshotTrailer(*read);
+                 !trailer.ok()) {
         report.snapshot_ok = false;
         report.crc_failures++;
-        report.errors.push_back("snapshot: " + why);
+        report.errors.push_back("snapshot: " + trailer.status().message());
       } else {
         report.pages_verified +=
             (static_cast<int64_t>(read->size()) + kPageSize - 1) / kPageSize;

@@ -1,5 +1,6 @@
 #include "strform/parser.h"
 
+#include <algorithm>
 #include <vector>
 
 namespace strdb {
@@ -107,6 +108,14 @@ Result<StringFormula> ParseBase(TokenStream* ts) {
       for (;;) {
         if (ts->Peek().kind != TokenKind::kIdent) {
           return ts->ErrorHere("expected variable in transpose");
+        }
+        // Each variable names one tape; a repeat would give one string
+        // two heads, which the window semantics and the Thm 3.1 machine
+        // read differently.
+        if (std::find(vars.begin(), vars.end(), ts->Peek().text) !=
+            vars.end()) {
+          return ts->ErrorHere("variable '" + ts->Peek().text +
+                               "' appears twice in transpose");
         }
         vars.push_back(ts->Next().text);
         if (!ts->Eat(TokenKind::kComma)) break;

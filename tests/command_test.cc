@@ -177,6 +177,20 @@ TEST(CommandTest, MalformedTruncationIsRejected) {
   EXPECT_EQ(out, "{(\"ab\"), (\"ba\")}   (2 tuples)\n");
 }
 
+// A window that transposes one variable twice is refused at parse time
+// (the calculus evaluator and the Thm 3.1 automaton disagreed on it: the
+// query below answered {} although the evaluator holds ("a")).
+TEST(CommandTest, TransposeNamingAVariableTwiceIsRejected) {
+  SharedCatalog catalog(Alphabet::Binary());
+  CommandProcessor proc(&catalog);
+  RunTranscript(proc, {
+                          {"rel U a", "defined U/1 with 1 tuples\n", true, ""},
+                          {"x | U(x) & ([x,x]l(x = x = ~))", "", false,
+                           "invalid-argument: variable 'x' appears twice "
+                           "in transpose"},
+                      });
+}
+
 // Numbers and on|off switches parse strictly.  Each refused line below
 // used to answer ok: a non-number or negative budget turned the limit
 // off, "12xyz" read as 12, an overflowing value saturated, `spill 12abc`

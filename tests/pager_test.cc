@@ -12,10 +12,12 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <functional>
 #include <iostream>
 #include <map>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "calculus/query.h"
@@ -452,6 +454,199 @@ TEST(PagedHeapTest, TruncatedHeaderIsDataLossNotACrash) {
   auto heap = PagedHeap::Open(&pool, path);
   ASSERT_FALSE(heap.ok());
   EXPECT_EQ(heap.status().code(), StatusCode::kDataLoss) << heap.status();
+}
+
+// Header field offsets (heap.cc's writer): u64 fields after the 12-byte
+// magic, u32 arity, u64 tuple count and u32 max length.
+constexpr size_t kHdrDictCount = 28;
+constexpr size_t kHdrDictIndexPages = 44;
+constexpr size_t kHdrDictDataFirst = 52;
+constexpr size_t kHdrDictDataPages = 60;
+constexpr size_t kHdrDictDataBytes = 68;
+
+uint64_t GetU64At(const std::string& bytes, size_t at) {
+  uint64_t v = 0;
+  for (int i = 7; i >= 0; --i) {
+    v = (v << 8) | static_cast<uint8_t>(bytes[at + static_cast<size_t>(i)]);
+  }
+  return v;
+}
+
+void PutLeAt(uint64_t v, int width, std::string* bytes, size_t at) {
+  for (int i = 0; i < width; ++i, v >>= 8) {
+    (*bytes)[at + static_cast<size_t>(i)] = static_cast<char>(v & 0xff);
+  }
+}
+
+// Replaces page `index` of `file` by its payload after `edit`, framed
+// with a fresh crc: the damage passes every page checksum, so only the
+// heap's own decode checks stand between it and an answer.
+void Reframe(std::string* file, int64_t index,
+             const std::function<void(std::string*)>& edit) {
+  const size_t at = static_cast<size_t>(index * kPageSize);
+  std::string payload = file->substr(at, static_cast<size_t>(kPagePayload));
+  edit(&payload);
+  std::string page;
+  AppendPage(payload, &page);
+  file->replace(at, static_cast<size_t>(kPageSize), page);
+}
+
+// The decode checks a crc cannot catch: each heap below is well framed
+// but holds one inconsistency.  Scan and Materialize must refuse it as
+// kDataLoss — no crash, no read past a page, no allocation sized by a
+// damaged length prefix.
+TEST(PagedHeapTest, ChecksummedButInconsistentHeapsAreDataLoss) {
+  std::string dir = FreshDir("heap_decode_checks");
+  StringRelation rel = MakeRelation(/*arity=*/2, /*n=*/300, /*len=*/10);
+  std::string path = dir + "/heap";
+  ASSERT_TRUE(WritePagedHeap(Env::Posix(), path, rel).ok());
+  const std::string clean = ReadAll(path);
+  const int64_t pages = static_cast<int64_t>(clean.size()) / kPageSize;
+  const uint64_t dict_count = GetU64At(clean, kHdrDictCount);
+  const int64_t index_page = 1;
+  const int64_t data_page =
+      static_cast<int64_t>(GetU64At(clean, kHdrDictDataFirst));
+  const uint64_t data_bytes = GetU64At(clean, kHdrDictDataBytes);
+  ASSERT_EQ(dict_count, 600u);
+  ASSERT_EQ(GetU64At(clean, kHdrDictDataPages), 1u);
+
+  struct Fault {
+    std::string what;
+    int64_t page;
+    std::function<void(std::string*)> edit;
+    std::string check;  // the decode check that must refuse it
+  };
+  const std::vector<Fault> faults = {
+      {"run id == dictionary count", pages - 1,
+       [&](std::string* p) { PutLeAt(dict_count, 4, p, 8 * 17 + 4); },
+       "dictionary id 600 >= count 600"},
+      {"run id 2^32 - 1", pages - 1,
+       [&](std::string* p) { PutLeAt(0xffffffffu, 4, p, 0); },
+       "dictionary id 4294967295 >= count"},
+      {"offset at the end of the data region", index_page,
+       [&](std::string* p) { PutLeAt(data_bytes, 8, p, 8 * 7); },
+       "dictionary offset out of range"},
+      {"offset leaving no room for the length prefix", index_page,
+       [&](std::string* p) { PutLeAt(data_bytes - 2, 8, p, 8 * 7); },
+       "dictionary offset out of range"},
+      {"offset past 2^63", index_page,
+       [&](std::string* p) { PutLeAt(~uint64_t{0} - 5, 8, p, 8 * 599); },
+       "dictionary offset out of range"},
+      {"length prefix 2^32 - 1", data_page,
+       [&](std::string* p) { PutLeAt(0xffffffffu, 4, p, 14 * 3); },
+       "dictionary entry overruns data region"},
+      {"length prefix one past the data region", data_page,
+       [&](std::string* p) { PutLeAt(data_bytes - 14 * 5 - 3, 4, p, 14 * 5); },
+       "dictionary entry overruns data region"},
+  };
+  for (const Fault& fault : faults) {
+    SCOPED_TRACE(fault.what);
+    std::string damaged = clean;
+    Reframe(&damaged, fault.page, fault.edit);
+    ASSERT_NE(damaged, clean);
+    WriteAll(path, damaged);
+
+    BufferPoolOptions options;
+    BufferPool pool(options);
+    auto heap = PagedHeap::Open(&pool, path);
+    ASSERT_TRUE(heap.ok()) << heap.status();
+    int64_t batches = 0;
+    Status scanned = (*heap)->Scan([&](const std::vector<Tuple>&) {
+      ++batches;
+      return Status::OK();
+    });
+    EXPECT_EQ(scanned.code(), StatusCode::kDataLoss) << scanned;
+    EXPECT_NE(scanned.message().find(fault.check), std::string::npos)
+        << scanned;
+    EXPECT_EQ(batches, 0);
+    Result<StringRelation> back = (*heap)->Materialize();
+    ASSERT_FALSE(back.ok());
+    EXPECT_EQ(back.status().code(), StatusCode::kDataLoss) << back.status();
+    EXPECT_EQ(pool.stats().bytes_pinned, 0);
+  }
+}
+
+// A run is decoded page by page: its ids are sorted, so the dictionary
+// index and data pages are walked forward once per run instead of
+// pinned three times per string.  A full scan's page requests are
+// bounded by runs × (1 + dictionary pages), and at most two pages are
+// ever pinned at once (one index page, one data page).
+TEST(PagedHeapTest, ScanPinsEachDictionaryPageOncePerRun) {
+  std::string dir = FreshDir("heap_requests");
+  // 6 000 distinct 13-letter strings: 3 index pages, 7 data pages, and
+  // two runs of pairs.
+  StringRelation rel = MakeRelation(/*arity=*/2, /*n=*/3000, /*len=*/13);
+  std::string path = dir + "/heap";
+  ASSERT_TRUE(WritePagedHeap(Env::Posix(), path, rel).ok());
+  const std::string file = ReadAll(path);
+  const int64_t dict_pages =
+      static_cast<int64_t>(GetU64At(file, kHdrDictIndexPages) +
+                           GetU64At(file, kHdrDictDataPages));
+  ASSERT_EQ(dict_pages, 10);
+
+  BufferPoolOptions options;
+  options.capacity_bytes = 4 * kPageSize;
+  BufferPool pool(options);
+  auto heap = PagedHeap::Open(&pool, path);
+  ASSERT_TRUE(heap.ok()) << heap.status();
+  const int64_t runs = static_cast<int64_t>((*heap)->runs().size());
+  ASSERT_EQ(runs, 2);
+
+  const PagerStats before = pool.stats();
+  Result<StringRelation> back = (*heap)->Materialize();
+  ASSERT_TRUE(back.ok()) << back.status();
+  EXPECT_EQ(*back, rel);
+  const PagerStats after = pool.stats();
+  const int64_t requests =
+      after.hits + after.misses - before.hits - before.misses;
+  EXPECT_LE(requests, runs * (1 + dict_pages));
+  EXPECT_GE(requests, runs + dict_pages);  // every page read at least once
+  EXPECT_LE(after.peak_bytes_pinned, 2 * kPageSize);
+  EXPECT_EQ(after.bytes_pinned, 0);
+  EXPECT_LE(after.bytes_cached, options.capacity_bytes);
+}
+
+// Two heaps scanned concurrently through one small pool: each scan sees
+// exactly its own relation, and the pool's accounting balances (run in
+// the TSan leg, this is the pool's race check under two page cursors
+// per scan).
+TEST(PagedHeapTest, ConcurrentScansOfTwoHeapsShareOnePool) {
+  std::string dir = FreshDir("heap_concurrent");
+  StringRelation left = MakeRelation(/*arity=*/1, /*n=*/3000, /*len=*/20);
+  StringRelation right = MakeRelation(/*arity=*/2, /*n=*/1500, /*len=*/14);
+  ASSERT_TRUE(WritePagedHeap(Env::Posix(), dir + "/left", left).ok());
+  ASSERT_TRUE(WritePagedHeap(Env::Posix(), dir + "/right", right).ok());
+
+  BufferPoolOptions options;
+  options.capacity_bytes = 3 * kPageSize;  // forces eviction under both
+  BufferPool pool(options);
+  auto left_heap = PagedHeap::Open(&pool, dir + "/left");
+  auto right_heap = PagedHeap::Open(&pool, dir + "/right");
+  ASSERT_TRUE(left_heap.ok()) << left_heap.status();
+  ASSERT_TRUE(right_heap.ok()) << right_heap.status();
+
+  constexpr int kRounds = 8;
+  auto scan_many = [&](const PagedHeap& heap, const StringRelation& want,
+                       int* matched) {
+    for (int round = 0; round < kRounds; ++round) {
+      Result<StringRelation> got = heap.Materialize();
+      if (got.ok() && *got == want) ++*matched;
+    }
+  };
+  int left_matched = 0, right_matched = 0;
+  std::thread a(scan_many, std::cref(**left_heap), std::cref(left),
+                &left_matched);
+  std::thread b(scan_many, std::cref(**right_heap), std::cref(right),
+                &right_matched);
+  a.join();
+  b.join();
+  EXPECT_EQ(left_matched, kRounds);
+  EXPECT_EQ(right_matched, kRounds);
+  PagerStats stats = pool.stats();
+  EXPECT_EQ(stats.bytes_pinned, 0);
+  EXPECT_LE(stats.peak_bytes_pinned, 4 * kPageSize);
+  EXPECT_LE(stats.bytes_cached, options.capacity_bytes);
+  EXPECT_GT(stats.evictions, 0);
 }
 
 // --- CatalogStore spilling -------------------------------------------------

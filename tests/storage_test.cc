@@ -103,6 +103,43 @@ TEST(Crc32Test, KnownAnswer) {
   EXPECT_FALSE(ParseCrc32Hex("cbf4392g", &parsed));  // non-hex
 }
 
+// The bitwise definition of CRC-32: one shift per input bit, no tables.
+uint32_t ReferenceCrc32(const unsigned char* bytes, size_t n) {
+  uint32_t crc = 0xFFFFFFFFu;
+  for (size_t i = 0; i < n; ++i) {
+    crc ^= bytes[i];
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc & 1) ? (0xEDB88320u ^ (crc >> 1)) : (crc >> 1);
+    }
+  }
+  return crc ^ 0xFFFFFFFFu;
+}
+
+// Crc32 folds eight bytes per step with a byte-at-a-time tail; it must
+// agree with the bitwise definition at every length and alignment (so
+// every tail length meets every start offset) and on page-sized buffers.
+TEST(Crc32Test, MatchesTheBitwiseDefinition) {
+  Rng rng(0xc3c32u);
+  std::vector<unsigned char> buf(308 + 7);
+  for (unsigned char& b : buf) b = static_cast<unsigned char>(rng.Next());
+  for (size_t start = 0; start < 8; ++start) {
+    for (size_t len = 0; len <= 300; ++len) {
+      ASSERT_EQ(Crc32(buf.data() + start, len),
+                ReferenceCrc32(buf.data() + start, len))
+          << "start " << start << " len " << len;
+    }
+  }
+  std::vector<unsigned char> page(16 * 1024);
+  for (int round = 0; round < 4; ++round) {
+    for (unsigned char& b : page) b = static_cast<unsigned char>(rng.Next());
+    EXPECT_EQ(Crc32(page.data(), page.size()),
+              ReferenceCrc32(page.data(), page.size()));
+  }
+  std::fill(page.begin(), page.end(), 0xFF);
+  EXPECT_EQ(Crc32(page.data(), page.size()),
+            ReferenceCrc32(page.data(), page.size()));
+}
+
 // --- Env -------------------------------------------------------------------
 
 TEST(EnvTest, PosixRoundTrip) {

@@ -70,6 +70,25 @@ TEST(ParserTest, RejectsGarbage) {
   EXPECT_FALSE(ParseStringFormula("").ok());
 }
 
+// A transpose names each tape once.  [x,x]l(x = x = ~) used to parse,
+// and over U = {("a")} at l = 1 the window semantics accepted ("a")
+// while the Thm 3.1 automaton rejected it.
+TEST(ParserTest, RejectsAVariableTransposedTwice) {
+  for (const char* text :
+       {"[x,x]l(x = x = ~)", "[x,y,x]r(true)", "[y]l(true) . [x,y,y]l(y = ~)"}) {
+    Result<StringFormula> r = ParseStringFormula(text);
+    ASSERT_FALSE(r.ok()) << text;
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument) << text;
+    EXPECT_NE(r.status().message().find("appears twice in transpose"),
+              std::string::npos)
+        << r.status();
+  }
+  Result<StringFormula> r = ParseStringFormula("[x,y,x]r(true)");
+  EXPECT_NE(r.status().message().find("'x'"), std::string::npos)
+      << r.status();
+  EXPECT_TRUE(ParseStringFormula("[x,y]l(x = y = ~) . [x]l(x = ~)").ok());
+}
+
 TEST(ParserTest, PrintParseRoundTrip) {
   for (const char* text :
        {kEquality, "[x,z]r(z = 'a' | y = 'b') . [x]l(x = 'c' & y = 'b')",
